@@ -1,5 +1,6 @@
 //! The `Database` facade: SQL in, results out.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -12,9 +13,11 @@ use cstore_common::sync::Mutex;
 use cstore_common::{
     convert, DataType, Error, Field, Result, Row, RowGroupId, RowId, Schema, Value,
 };
+use cstore_delta::table::AppliedWrites;
+use cstore_delta::wal::TxnApplyOp;
 use cstore_delta::{
-    MoverState, MoverStatus, TableConfig, TableSnapshot, TupleMover, Wal, WalHandle, WalOptions,
-    WalRecord, WalReplayReport, WalStatus, WalSyncMode,
+    ColumnStoreTable, MoverState, MoverStatus, TableConfig, TableSnapshot, TupleMover, Wal,
+    WalHandle, WalOptions, WalRecord, WalReplayReport, WalStatus, WalSyncMode,
 };
 use cstore_exec::ops::collect_rows;
 use cstore_exec::{ExecContext, Expr};
@@ -22,6 +25,7 @@ use cstore_planner::explain::{explain, explain_analyze};
 use cstore_planner::physical::build_physical;
 use cstore_planner::rules::optimize;
 use cstore_planner::ExecMode;
+use cstore_rowstore::HeapTable;
 use cstore_sql::ast::{SetValue, Statement, TableOrganization};
 use cstore_sql::{bind_expr_on_schema, bind_select, coerce, literal_value, parse};
 
@@ -175,14 +179,16 @@ impl QueryResult {
 /// it by value (the group does not exist in the live table).
 const TXN_GROUP: RowGroupId = RowGroupId(u32::MAX);
 
-/// In-transaction WAL chunking for multi-row inserts — mirrors the
-/// auto-commit trickle path so replay cost stays bounded per frame.
+/// Rows per buffered insert op, and so per WAL frame: a larger INSERT
+/// becomes several ops, keeping every frame well under the WAL's 64 MB
+/// frame limit and replay cost bounded per frame.
 const TXN_WAL_BATCH_ROWS: usize = 4096;
 
 /// One session's transaction state (guarded by the `db.session` mutex,
 /// level 17 — a leaf that is never held across statement execution).
 enum SessionTxn {
-    /// Auto-commit: every statement commits by itself.
+    /// No explicit transaction: every statement commits by itself (DML
+    /// as an implicit single-statement transaction).
     None,
     /// An explicit transaction is open and accepting statements.
     Active(Box<ActiveTxn>),
@@ -197,82 +203,139 @@ enum SessionTxn {
 /// commit applies it.
 struct ActiveTxn {
     id: u64,
-    /// Per-table pinned snapshot + overlay write set, keyed by
-    /// lowercased table name.
+    /// An autocommit statement running as its own single-statement
+    /// transaction, rather than one opened by `BEGIN`. It is invisible
+    /// to `sys.transactions` (its id is never registered) and logs
+    /// nothing until commit, where the length of its write set picks
+    /// the WAL framing — see [`Database::autocommit_frames`].
+    implicit: bool,
+    /// The tables as this transaction sees them, keyed by lowercased
+    /// name. `BEGIN` pins nothing. An explicit transaction pins every
+    /// table at its first statement — one instant for the whole view;
+    /// an implicit one pins just the table its statement reads, when it
+    /// reads it, so an autocommit INSERT never takes a snapshot.
+    pinned: BTreeMap<String, TableSnapshot>,
+    /// This transaction's writes to each table it wrote, by the same key.
     overlays: BTreeMap<String, TableOverlay>,
-    /// The write set in log order — exactly mirrors the TxnOp frames
-    /// already in the WAL, so commit-apply and crash-replay perform the
-    /// same operations in the same order.
-    ops: Vec<TxnWriteOp>,
     /// Statements executed so far (for `sys.transactions`).
     statements: u64,
 }
 
-/// Rollback point for statement-level atomicity: `ops` length plus a
-/// deep copy of every overlay's mutable write set. A failed statement
-/// restores this, leaving any WAL frames the half-statement logged as
-/// orphans — safe only because the transaction is then poisoned and can
-/// never log a TxnCommit that would replay them.
+/// Rollback point for statement-level atomicity: a mark per overlay. A
+/// failed statement restores this, leaving any WAL frames the
+/// half-statement logged as orphans — safe only because the transaction
+/// is then poisoned and can never log a TxnCommit that would replay them.
 struct TxnCheckpoint {
-    ops_len: usize,
-    overlays: BTreeMap<String, (Vec<(RowId, Row)>, Vec<(u32, Row)>, u32)>,
+    overlays: BTreeMap<String, OverlayMark>,
+}
+
+/// Where one overlay stood: lengths for what a statement only appends
+/// to, a copy of `inserted` (a delete of an own insert removes from it).
+struct OverlayMark {
+    ops: usize,
+    deleted: usize,
+    inserted: Vec<(u32, Row)>,
+    next_synth: u32,
 }
 
 impl ActiveTxn {
+    fn new(id: u64, implicit: bool) -> Self {
+        ActiveTxn {
+            id,
+            implicit,
+            pinned: BTreeMap::new(),
+            overlays: BTreeMap::new(),
+            statements: 0,
+        }
+    }
+
+    /// Buffered write operations (inserts + deletes; an UPDATE is two).
+    fn write_ops(&self) -> u64 {
+        self.overlays.values().map(|ov| ov.ops.len() as u64).sum()
+    }
+
     fn checkpoint(&self) -> TxnCheckpoint {
         TxnCheckpoint {
-            ops_len: self.ops.len(),
             overlays: self
                 .overlays
                 .iter()
                 .map(|(name, ov)| {
-                    (
-                        name.clone(),
-                        (ov.deleted.clone(), ov.inserted.clone(), ov.next_synth),
-                    )
+                    let mark = OverlayMark {
+                        ops: ov.ops.len(),
+                        deleted: ov.deleted.len(),
+                        inserted: ov.inserted.clone(),
+                        next_synth: ov.next_synth,
+                    };
+                    (name.clone(), mark)
                 })
                 .collect(),
         }
     }
 
     fn restore(&mut self, ckpt: TxnCheckpoint) {
-        self.ops.truncate(ckpt.ops_len);
         // Overlays only ever gain entries within a statement; drop any
         // the failed statement created, restore the rest.
         self.overlays
             .retain(|name, _| ckpt.overlays.contains_key(name));
-        for (name, (deleted, inserted, next_synth)) in ckpt.overlays {
+        for (name, mark) in ckpt.overlays {
             if let Some(ov) = self.overlays.get_mut(&name) {
-                ov.deleted = deleted;
-                ov.inserted = inserted;
-                ov.next_synth = next_synth;
+                ov.ops.truncate(mark.ops);
+                ov.deleted.truncate(mark.deleted);
+                ov.inserted = mark.inserted;
+                ov.next_synth = mark.next_synth;
             }
         }
     }
 
-    /// The overlay for `key`, creating one lazily (with a live base
-    /// snapshot) for tables that appeared after BEGIN.
-    fn overlay_mut(&mut self, key: &str, t: &cstore_delta::ColumnStoreTable) -> &mut TableOverlay {
-        self.overlays
-            .entry(key.to_string())
-            .or_insert_with(|| TableOverlay::new(t.snapshot()))
+    /// Pin every columnstore table not pinned yet, all at this instant.
+    fn pin_all(&mut self, catalog: &Catalog) {
+        for name in catalog.table_names() {
+            if let Some(TableEntry::ColumnStore(t)) = catalog.get(&name) {
+                self.pinned
+                    .entry(name.to_ascii_lowercase())
+                    .or_insert_with(|| t.snapshot());
+            }
+        }
     }
 
-    /// Per-table effective snapshots (base + overlay), for scans.
-    fn snapshots(&self) -> Arc<HashMap<String, TableSnapshot>> {
-        Arc::new(
-            self.overlays
-                .iter()
-                .map(|(name, ov)| (name.clone(), ov.effective()))
-                .collect(),
-        )
+    /// This transaction's view of table `key`: the base pinned from `t`
+    /// now if it was not yet, plus own writes.
+    fn effective(&mut self, key: &str, t: &ColumnStoreTable) -> Cow<'_, TableSnapshot> {
+        let base = self
+            .pinned
+            .entry(key.to_string())
+            .or_insert_with(|| t.snapshot());
+        match self.overlays.get(key) {
+            Some(ov) => ov.effective(base),
+            None => Cow::Borrowed(base),
+        }
+    }
+
+    /// Per-table effective snapshots (base + overlay), for scans. A scan
+    /// can name any table, so any created since the first statement are
+    /// pinned now.
+    fn snapshots(&mut self, catalog: &Catalog) -> Arc<HashMap<String, TableSnapshot>> {
+        self.pin_all(catalog);
+        let effective = |(key, base): (&String, &TableSnapshot)| {
+            let snap = match self.overlays.get(key) {
+                Some(ov) => ov.effective(base).into_owned(),
+                None => base.clone(),
+            };
+            (key.clone(), snap)
+        };
+        Arc::new(self.pinned.iter().map(effective).collect())
     }
 }
 
-/// One table's view inside a transaction: the base snapshot pinned at
-/// BEGIN (or first touch) plus this transaction's private writes.
+/// One table's share of a transaction's write set, plus the read-view
+/// buffers that let the transaction see its own writes.
+#[derive(Default)]
 struct TableOverlay {
-    base: TableSnapshot,
+    /// The writes in log order — for an explicit transaction exactly the
+    /// TxnOp frames already in the WAL, so commit-apply and crash-replay
+    /// perform the same operations in the same order. An UPDATE
+    /// contributes a Delete and an Insert per victim.
+    ops: Vec<TxnApplyOp>,
     /// Base rows this transaction deleted, value-verified at commit.
     deleted: Vec<(RowId, Row)>,
     /// Rows this transaction inserted, under synthetic tuple ids in
@@ -283,22 +346,16 @@ struct TableOverlay {
 }
 
 impl TableOverlay {
-    fn new(base: TableSnapshot) -> Self {
-        TableOverlay {
-            base,
-            deleted: Vec::new(),
-            inserted: Vec::new(),
-            next_synth: 0,
+    /// The view scans see: `base` minus own deletes plus own inserts (as
+    /// delta rows in the synthetic group).
+    fn effective<'a>(&self, base: &'a TableSnapshot) -> Cow<'a, TableSnapshot> {
+        if self.deleted.is_empty() && self.inserted.is_empty() {
+            return Cow::Borrowed(base);
         }
-    }
-
-    /// Materialize the view scans see: base minus own deletes plus own
-    /// inserts (as delta rows in the synthetic group).
-    fn effective(&self) -> TableSnapshot {
-        let mut deleted = self.base.deleted().clone();
-        let mut delta: Vec<(RowId, Row)> = self.base.delta_rows().to_vec();
+        let mut deleted = base.deleted().clone();
+        let mut delta: Vec<(RowId, Row)> = base.delta_rows().to_vec();
         for (rid, _) in &self.deleted {
-            if self.base.group_by_id(rid.group).is_some() {
+            if base.group_by_id(rid.group).is_some() {
                 deleted.delete(*rid);
             } else if let Some(pos) = delta.iter().position(|(r, _)| r == rid) {
                 delta.remove(pos);
@@ -307,32 +364,13 @@ impl TableOverlay {
         for (synth, row) in &self.inserted {
             delta.push((RowId::new(TXN_GROUP, *synth), row.clone()));
         }
-        TableSnapshot::new(
-            self.base.schema().clone(),
-            self.base.groups().to_vec(),
+        Cow::Owned(TableSnapshot::new(
+            base.schema().clone(),
+            base.groups().to_vec(),
             delta,
             deleted,
-        )
+        ))
     }
-}
-
-/// One buffered write, in log order. An UPDATE contributes a Delete and
-/// an Insert per victim — the same two frames crash-replay applies.
-enum TxnWriteOp {
-    Insert { table: String, rows: Vec<Row> },
-    Delete { table: String, rid: RowId, row: Row },
-}
-
-/// What commit-apply actually did, for exact undo when the TxnCommit
-/// record cannot be made durable (torn commit) or a conflict surfaces.
-enum AppliedOp {
-    /// Rows inserted, with the rids they landed at.
-    Insert {
-        table: String,
-        rows: Vec<(RowId, Row)>,
-    },
-    /// A row deleted (undo re-inserts it by value).
-    Delete { table: String, row: Row },
 }
 
 /// An embedded analytical database: updatable columnstore tables (plus
@@ -617,13 +655,18 @@ impl Database {
         let Some(mut txn) = open else {
             return self.dispatch_autocommit(stmt);
         };
+        if txn.statements == 0 {
+            // The snapshot instant of an explicit transaction is its
+            // first statement, whatever that statement is.
+            txn.pin_all(&self.catalog);
+        }
         let ckpt = txn.checkpoint();
         let result = self.execute_in_txn(&mut txn, stmt);
         match result {
             Ok(r) => {
                 txn.statements += 1;
                 self.txns
-                    .note_progress(txn.id, txn.statements, txn.ops.len() as u64);
+                    .note_progress(txn.id, txn.statements, txn.write_ops());
                 *self.session.lock() = SessionTxn::Active(txn);
                 Ok(r)
             }
@@ -688,13 +731,9 @@ impl Database {
                 Ok(QueryResult::Created)
             }
             Statement::Set { option, value } => self.run_set(&option, value),
-            Statement::Insert { table, rows } => self.run_insert(&table, rows),
-            Statement::Delete { table, selection } => self.run_delete(&table, selection),
-            Statement::Update {
-                table,
-                assignments,
-                selection,
-            } => self.run_update(&table, assignments, selection),
+            dml @ (Statement::Insert { .. }
+            | Statement::Delete { .. }
+            | Statement::Update { .. }) => self.run_autocommit_dml(dml),
             // Dispatched by `execute_statement` before this point.
             Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::Sql(
                 "transaction control cannot nest inside a statement".into(),
@@ -702,15 +741,44 @@ impl Database {
         }
     }
 
-    /// Run one statement against an open transaction: reads see the
-    /// pinned snapshots plus the private write set; writes buffer into
-    /// the overlay and log TxnOp frames at statement time.
+    /// Autocommit DML. On a columnstore the statement runs as an implicit
+    /// single-statement transaction — the same write-set building and the
+    /// same commit as `BEGIN; <stmt>; COMMIT`, so there is one victim
+    /// search, one conflict rule, one backpressure admission point, and
+    /// a statement that fails or loses a conflict leaves nothing behind.
+    /// Heap tables are not transactional and keep their direct path.
+    fn run_autocommit_dml(&self, stmt: Statement) -> Result<QueryResult> {
+        let (Statement::Insert { table, .. }
+        | Statement::Delete { table, .. }
+        | Statement::Update { table, .. }) = &stmt
+        else {
+            return Err(Error::Sql(format!("not a DML statement: {stmt:?}")));
+        };
+        if let TableEntry::Heap(h) = self.catalog.try_get(table)? {
+            return self.run_heap_dml(&h, stmt);
+        }
+        let mut txn = ActiveTxn::new(self.txns.next_id(), true);
+        match self.execute_in_txn(&mut txn, stmt) {
+            Ok(result) => self.commit_active(txn).map(|()| result),
+            Err(e) => {
+                self.abort_txn(&txn, e.to_string());
+                Err(e)
+            }
+        }
+    }
+
+    /// Run one statement against a transaction: reads see the pinned
+    /// snapshots plus the private write set; writes buffer into the
+    /// overlay (an explicit transaction also logs them as TxnOp frames
+    /// at statement time).
     fn execute_in_txn(&self, txn: &mut ActiveTxn, stmt: Statement) -> Result<QueryResult> {
         match stmt {
-            Statement::Select(s) => self.run_select(&s, Some(txn.snapshots())),
-            Statement::UnionAll(branches) => self.run_union(&branches, Some(txn.snapshots())),
+            Statement::Select(s) => self.run_select(&s, Some(txn.snapshots(&self.catalog))),
+            Statement::UnionAll(branches) => {
+                self.run_union(&branches, Some(txn.snapshots(&self.catalog)))
+            }
             Statement::Explain { analyze, stmt } => {
-                self.run_explain(*stmt, analyze, Some(txn.snapshots()))
+                self.run_explain(*stmt, analyze, Some(txn.snapshots(&self.catalog)))
             }
             // SET tunes session options, not data — it runs (and can
             // fail) outside the transaction's write set either way.
@@ -733,8 +801,8 @@ impl Database {
 
     // --------------------------------------------------- transactions
 
-    /// `BEGIN`: pin a snapshot of every columnstore table, register the
-    /// transaction, and log a TxnBegin frame.
+    /// `BEGIN`: register the transaction and log a TxnBegin frame. O(1):
+    /// nothing is pinned until the transaction's first statement.
     fn txn_begin(&self) -> Result<QueryResult> {
         if self.in_transaction() {
             // Not a poisoning event: the open transaction is untouched.
@@ -762,14 +830,6 @@ impl Database {
                 return Err(e);
             }
         }
-        // Pin the snapshots *after* the begin record: everything the
-        // snapshot shows is at or before the txn's position in the log.
-        let mut overlays = BTreeMap::new();
-        for name in self.catalog.table_names() {
-            if let Some(TableEntry::ColumnStore(t)) = self.catalog.get(&name) {
-                overlays.insert(name.to_ascii_lowercase(), TableOverlay::new(t.snapshot()));
-            }
-        }
         let mut s = self.session.lock();
         if !matches!(*s, SessionTxn::None) {
             // Lost a BEGIN race on a shared session handle; abandon ours.
@@ -786,12 +846,7 @@ impl Database {
                 "a transaction is already open (nested BEGIN is not supported)".into(),
             ));
         }
-        *s = SessionTxn::Active(Box::new(ActiveTxn {
-            id,
-            overlays,
-            ops: Vec::new(),
-            statements: 0,
-        }));
+        *s = SessionTxn::Active(Box::new(ActiveTxn::new(id, false)));
         Ok(QueryResult::Txn(TxnAck::Begun))
     }
 
@@ -810,7 +865,8 @@ impl Database {
 
     /// Release a transaction's locks and log a TxnAbort frame.
     /// Best-effort on the WAL side: replay discards any transaction
-    /// without a commit record, so a lost abort record costs nothing.
+    /// without a commit record, so a lost abort record costs nothing —
+    /// and an implicit transaction has logged nothing to abort.
     fn abort_txn(&self, txn: &ActiveTxn, reason: String) {
         self.txns.finish(
             txn.id,
@@ -818,8 +874,11 @@ impl Database {
             None,
             Some(reason),
             txn.statements,
-            txn.ops.len() as u64,
+            txn.write_ops(),
         );
+        if txn.implicit {
+            return;
+        }
         let wal = self.wal.lock().clone();
         if let Some(w) = wal {
             // lint: allow(discard) — see the doc comment: abort records
@@ -845,167 +904,140 @@ impl Database {
                     "transaction aborted by an earlier error ({reason}); rolled back"
                 )))
             }
-            SessionTxn::Active(txn) => self.commit_active(*txn),
+            SessionTxn::Active(txn) => self
+                .commit_active(*txn)
+                .map(|()| QueryResult::Txn(TxnAck::Committed)),
         }
     }
 
-    fn commit_active(&self, txn: ActiveTxn) -> Result<QueryResult> {
+    /// How every write becomes visible and durable — explicit COMMIT and
+    /// autocommit statement alike: apply the write set, log its commit
+    /// point, flush; on any failure undo what was applied.
+    fn commit_active(&self, txn: ActiveTxn) -> Result<()> {
         let wal = self.wal.lock().clone();
-        // 1. Apply the write set in log order. Deletes are
-        //    value-verified: `None` means a concurrent *committed*
+        let mut applied = Vec::new();
+        match self.apply_and_log(&txn, wal.as_deref(), &mut applied) {
+            Ok(commit_lsn) => {
+                self.txns.finish(
+                    txn.id,
+                    TxnState::Committed,
+                    commit_lsn,
+                    None,
+                    txn.statements,
+                    txn.write_ops(),
+                );
+                Ok(())
+            }
+            Err(e) => {
+                // The commit point is not durable (fault points fire
+                // before bytes land), so replay will discard the
+                // transaction — make the live image agree.
+                for (t, ops, done) in applied.iter().rev() {
+                    t.undo_write_set(ops, done);
+                }
+                self.abort_txn(&txn, format!("commit failed: {e}"));
+                Err(e)
+            }
+        }
+    }
+
+    /// The fallible part of a commit; returns the durable commit LSN.
+    /// Whatever it applied before failing is left in `applied` for the
+    /// caller to undo.
+    fn apply_and_log<'t>(
+        &self,
+        txn: &'t ActiveTxn,
+        wal: Option<&Wal>,
+        applied: &mut Vec<(ColumnStoreTable, &'t [TxnApplyOp], AppliedWrites)>,
+    ) -> Result<Option<u64>> {
+        // 1. Apply each table's share, atomically per table. Deletes are
+        //    value-verified: a miss means a concurrent *committed*
         //    writer removed the row after our lock-free snapshot read —
         //    the transaction loses with a CONFLICT, exactly once.
-        let mut applied: Vec<AppliedOp> = Vec::new();
-        for op in &txn.ops {
-            let outcome = self.commit_apply_one(op, &mut applied);
-            match outcome {
-                Ok(true) => {}
-                Ok(false) => {
-                    self.undo_applied(&applied);
-                    self.txns.note_conflict();
-                    let reason = "write-write conflict discovered at commit".to_string();
-                    self.abort_txn(&txn, reason.clone());
-                    return Err(Error::Conflict(format!(
-                        "{reason}: a concurrent transaction removed a row this \
-                         transaction deleted or updated"
-                    )));
-                }
-                Err(e) => {
-                    self.undo_applied(&applied);
-                    self.abort_txn(&txn, format!("commit apply failed: {e}"));
-                    return Err(e);
-                }
+        let mut lsn = None;
+        for (table, ov) in &txn.overlays {
+            if ov.ops.is_empty() {
+                continue;
             }
-        }
-        // 2. The atomicity point: TxnCommit, flushed durable. All the
-        //    transaction's frames (TxnBegin, TxnOps, TxnCommit) ride
-        //    this one group-commit flush.
-        let commit_lsn = match &wal {
-            Some(w) => {
-                let logged = w.fault_check("wal.txn_commit").and_then(|()| {
-                    let lsn = w.log(&WalRecord::TxnCommit { txn: txn.id })?;
-                    w.commit(lsn)?;
-                    Ok(lsn)
-                });
-                match logged {
-                    Ok(lsn) => Some(lsn),
-                    Err(e) => {
-                        // Torn commit: the record is not durable (fault
-                        // points fire before bytes land), so replay will
-                        // discard the transaction — make the live image
-                        // agree by undoing the applied write set.
-                        self.undo_applied(&applied);
-                        self.abort_txn(&txn, format!("commit logging failed: {e}"));
-                        return Err(e);
-                    }
-                }
-            }
-            None => None,
-        };
-        self.txns.finish(
-            txn.id,
-            TxnState::Committed,
-            commit_lsn,
-            None,
-            txn.statements,
-            txn.ops.len() as u64,
-        );
-        Ok(QueryResult::Txn(TxnAck::Committed))
-    }
-
-    /// Apply one buffered op. `Ok(false)` is a commit-time conflict
-    /// (the value-verified delete found no matching live row).
-    fn commit_apply_one(&self, op: &TxnWriteOp, applied: &mut Vec<AppliedOp>) -> Result<bool> {
-        match op {
-            TxnWriteOp::Insert { table, rows } => {
-                let TableEntry::ColumnStore(t) = self.catalog.try_get(table)? else {
-                    return Err(Error::Unsupported(
-                        "heap tables do not support explicit transactions".into(),
-                    ));
-                };
-                let rids = t.apply_unlogged_insert_batch(rows)?;
-                applied.push(AppliedOp::Insert {
-                    table: table.clone(),
-                    rows: rids.into_iter().zip(rows.iter().cloned()).collect(),
-                });
-                Ok(true)
-            }
-            TxnWriteOp::Delete { table, rid, row } => {
-                let TableEntry::ColumnStore(t) = self.catalog.try_get(table)? else {
-                    return Err(Error::Unsupported(
-                        "heap tables do not support explicit transactions".into(),
-                    ));
-                };
-                match t.apply_unlogged_delete(*rid, row)? {
-                    Some((_, actual_row)) => {
-                        applied.push(AppliedOp::Delete {
-                            table: table.clone(),
-                            row: actual_row,
-                        });
-                        Ok(true)
-                    }
-                    None => Ok(false),
-                }
-            }
-        }
-    }
-
-    /// Undo an applied prefix of a commit, newest first: re-insert
-    /// deleted rows, delete inserted rows. Unlogged — the WAL never saw
-    /// a commit record, so replay discards the transaction anyway.
-    /// Best-effort per op: an undo can only miss if a concurrent writer
-    /// raced the same row in the failure window.
-    fn undo_applied(&self, applied: &[AppliedOp]) {
-        for op in applied.iter().rev() {
-            let (table, result) = match op {
-                AppliedOp::Insert { table, rows } => {
-                    let r = match self.catalog.try_get(table) {
-                        Ok(TableEntry::ColumnStore(t)) => rows.iter().try_for_each(|(rid, row)| {
-                            t.apply_unlogged_delete(*rid, row).map(drop)
-                        }),
-                        _ => Ok(()),
-                    };
-                    (table, r)
-                }
-                AppliedOp::Delete { table, row } => {
-                    let r = match self.catalog.try_get(table) {
-                        Ok(TableEntry::ColumnStore(t)) => t
-                            .apply_unlogged_insert_batch(std::slice::from_ref(row))
-                            .map(drop),
-                        _ => Ok(()),
-                    };
-                    (table, r)
-                }
+            let t = self.txn_table(table)?;
+            let frames = match wal {
+                Some(_) if txn.implicit => Self::autocommit_frames(txn.id, table, &ov.ops),
+                _ => Vec::new(),
             };
-            if let Err(e) = result {
-                // Counted, not fatal: the undo target can only be gone
-                // if a concurrent writer raced it in the failure window.
-                metrics::global()
-                    .counter("cstore_txn_undo_errors_total")
-                    .inc();
-                // lint: allow(discard) — best-effort undo; the miss is counted above
-                let _ = (table, e);
-            }
+            let Some(done) = t.apply_write_set(&ov.ops, &frames)? else {
+                self.txns.note_conflict();
+                return Err(Error::Conflict(
+                    "write-write conflict discovered at commit: a concurrent transaction \
+                     removed a row this transaction deleted or updated"
+                        .into(),
+                ));
+            };
+            lsn = done.lsn.or(lsn);
+            applied.push((t, &ov.ops, done));
         }
+        // 2. The atomicity point, flushed durable. An explicit
+        //    transaction's frames (TxnBegin, TxnOps, and now TxnCommit)
+        //    all ride this one group-commit flush; an implicit one's
+        //    were logged with the apply above.
+        let Some(w) = wal else { return Ok(None) };
+        if !txn.implicit {
+            w.fault_check("wal.txn_commit")?;
+            lsn = Some(w.log(&WalRecord::TxnCommit { txn: txn.id })?);
+        }
+        if let Some(lsn) = lsn {
+            w.commit(lsn)?;
+        }
+        Ok(lsn)
     }
 
-    /// Log one DML operation of an open transaction as a TxnOp frame.
-    /// No commit/flush here: the frames become durable with the
-    /// transaction's commit record (or are discarded by replay).
-    fn txn_log(&self, txn: u64, op: WalRecord) -> Result<()> {
-        let wal = self.wal.lock().clone();
-        if let Some(w) = wal {
-            w.log(&WalRecord::TxnOp {
-                txn,
-                op: Box::new(op),
-            })?;
+    /// The WAL frames of an autocommit statement's write set, chosen from
+    /// its length. One op is its own atomicity point and is logged as
+    /// the plain `Insert`/`InsertBatch`/`Delete` frame — what a trickle
+    /// insert has always cost. Several ops (every UPDATE, a multi-row
+    /// DELETE) need the `TxnBegin`/`TxnOp`…/`TxnCommit` bracket, so that
+    /// replay applies all of them or none. The `TxnBegin` is not
+    /// decoration: transaction ids restart after a reopen, and the begin
+    /// record is what clears ops a dead transaction left buffered under
+    /// the same id.
+    fn autocommit_frames(txn: u64, table: &str, ops: &[TxnApplyOp]) -> Vec<WalRecord> {
+        if let [op] = ops {
+            return vec![op.record(table)];
         }
+        let txn_ops = ops.iter().map(|op| WalRecord::TxnOp {
+            txn,
+            op: Box::new(op.record(table)),
+        });
+        std::iter::once(WalRecord::TxnBegin { txn })
+            .chain(txn_ops)
+            .chain(std::iter::once(WalRecord::TxnCommit { txn }))
+            .collect()
+    }
+
+    /// Append one op to `table`'s share of the write set. An explicit
+    /// transaction logs it first, as a TxnOp frame (log-before-buffer;
+    /// no flush — the frame becomes durable with the commit record or is
+    /// discarded by replay). An implicit one logs at commit.
+    fn buffer_op(&self, txn: &mut ActiveTxn, table: &str, op: TxnApplyOp) -> Result<()> {
+        if !txn.implicit {
+            let wal = self.wal.lock().clone();
+            if let Some(w) = wal {
+                w.log(&WalRecord::TxnOp {
+                    txn: txn.id,
+                    op: Box::new(op.record(table)),
+                })?;
+            }
+        }
+        txn.overlays
+            .entry(table.to_string())
+            .or_default()
+            .ops
+            .push(op);
         Ok(())
     }
 
-    /// The columnstore behind an in-transaction DML statement (heap
-    /// tables don't participate in explicit transactions).
-    fn txn_table(&self, table: &str) -> Result<cstore_delta::ColumnStoreTable> {
+    /// The columnstore behind a transactional DML statement (heap
+    /// tables don't participate in transactions).
+    fn txn_table(&self, table: &str) -> Result<ColumnStoreTable> {
         match self.catalog.try_get(table)? {
             TableEntry::ColumnStore(t) => Ok(t),
             TableEntry::Heap(_) => Err(Error::Unsupported(
@@ -1022,32 +1054,35 @@ impl Database {
     ) -> Result<QueryResult> {
         self.check_writable()?;
         let t = self.txn_table(table)?;
-        let schema = t.schema().clone();
-        let rows = Self::literal_rows(table, &schema, value_rows)?;
+        let rows = Self::literal_rows(table, t.schema(), value_rows)?;
         // Validate the whole statement before logging or buffering a
         // single row: a NULL-into-NOT-NULL in row 3 must not leave rows
         // 1–2 buffered (statement-level atomicity).
         for row in &rows {
-            schema.check_row(row)?;
+            t.schema().check_row(row)?;
         }
-        let key = table.to_ascii_lowercase();
-        for chunk in rows.chunks(TXN_WAL_BATCH_ROWS) {
-            self.txn_log(
-                txn.id,
-                WalRecord::InsertBatch {
-                    table: key.clone(),
-                    rows: chunk.to_vec(),
-                },
-            )?;
-        }
+        t.backpressure_admit()?;
         let n = rows.len();
-        let ov = txn.overlay_mut(&key, &t);
-        for row in &rows {
-            ov.inserted.push((ov.next_synth, row.clone()));
-            ov.next_synth += 1;
-        }
-        txn.ops.push(TxnWriteOp::Insert { table: key, rows });
+        self.buffer_insert(txn, &table.to_ascii_lowercase(), rows)?;
         Ok(QueryResult::Affected(n))
+    }
+
+    /// Buffer validated, admitted rows for insert: one op (and so one
+    /// WAL frame) per [`TXN_WAL_BATCH_ROWS`] chunk, mirrored into the
+    /// overlay's read view under fresh synthetic rids.
+    fn buffer_insert(&self, txn: &mut ActiveTxn, key: &str, mut rows: Vec<Row>) -> Result<()> {
+        while !rows.is_empty() {
+            let rest = rows.split_off(rows.len().min(TXN_WAL_BATCH_ROWS));
+            let chunk = std::mem::replace(&mut rows, rest);
+            let mirror = chunk.clone();
+            self.buffer_op(txn, key, TxnApplyOp::Insert(chunk))?;
+            let ov = txn.overlays.entry(key.to_string()).or_default();
+            for row in mirror {
+                ov.inserted.push((ov.next_synth, row));
+                ov.next_synth += 1;
+            }
+        }
+        Ok(())
     }
 
     fn txn_delete(
@@ -1058,60 +1093,34 @@ impl Database {
     ) -> Result<QueryResult> {
         self.check_writable()?;
         let t = self.txn_table(table)?;
-        let schema = t.schema().clone();
-        let bound = selection
-            .map(|s| bind_expr_on_schema(&s, &schema, table))
-            .transpose()?;
+        let bound = Self::bind_selection(selection, t.schema(), table)?;
         let key = table.to_ascii_lowercase();
-        let victims = {
-            let ov = txn.overlay_mut(&key, &t);
-            self.matching_rids_in(&ov.effective(), &bound)?
-        };
-        let mut n = 0;
+        let victims = self.find_victims(txn, &key, &t, &bound)?;
+        let n = victims.len();
         for (rid, row) in victims {
-            self.txn_delete_one(txn, &key, &t, rid, row)?;
-            n += 1;
+            self.txn_delete_one(txn, &key, rid, row)?;
         }
         Ok(QueryResult::Affected(n))
     }
 
-    /// Buffer one in-transaction delete: lock the row (base rows only),
-    /// log the TxnOp frame, then update the overlay and op list.
-    fn txn_delete_one(
-        &self,
-        txn: &mut ActiveTxn,
-        key: &str,
-        t: &cstore_delta::ColumnStoreTable,
-        rid: RowId,
-        row: Row,
-    ) -> Result<()> {
+    /// Buffer one delete: lock the row (base rows only), then record it
+    /// in the write set and the overlay's read view.
+    fn txn_delete_one(&self, txn: &mut ActiveTxn, key: &str, rid: RowId, row: Row) -> Result<()> {
         if rid.group != TXN_GROUP {
             // A base row: claim it, so a concurrent transaction gets a
             // deterministic CONFLICT instead of a silent lost update.
             self.txns.lock_row(txn.id, key, rid)?;
         }
-        self.txn_log(
-            txn.id,
-            WalRecord::Delete {
-                table: key.to_string(),
-                rid,
-                row: row.clone(),
-            },
-        )?;
-        let ov = txn.overlay_mut(key, t);
+        self.buffer_op(txn, key, TxnApplyOp::Delete(rid, row.clone()))?;
+        let ov = txn.overlays.entry(key.to_string()).or_default();
         if rid.group == TXN_GROUP {
             // Deleting an own uncommitted insert: drop it from the
             // buffer. The logged insert+delete pair nets out by value
             // at replay (and at commit-apply).
             ov.inserted.retain(|(synth, _)| *synth != rid.tuple);
         } else {
-            ov.deleted.push((rid, row.clone()));
+            ov.deleted.push((rid, row));
         }
-        txn.ops.push(TxnWriteOp::Delete {
-            table: key.to_string(),
-            rid,
-            row,
-        });
         Ok(())
     }
 
@@ -1124,56 +1133,61 @@ impl Database {
     ) -> Result<QueryResult> {
         self.check_writable()?;
         let t = self.txn_table(table)?;
-        let schema = t.schema().clone();
-        let bound_sel = selection
-            .map(|s| bind_expr_on_schema(&s, &schema, table))
-            .transpose()?;
-        let bound_assign: Vec<(usize, DataType, Expr)> = assignments
-            .iter()
-            .map(|(col, e)| {
-                let idx = schema.try_index_of(col)?;
-                Ok((
-                    idx,
-                    schema.field(idx).data_type,
-                    bind_expr_on_schema(e, &schema, table)?,
-                ))
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let schema = t.schema();
+        let bound_sel = Self::bind_selection(selection, schema, table)?;
+        let bound_assign = Self::bind_assignments(&assignments, schema, table)?;
         let key = table.to_ascii_lowercase();
-        let victims = {
-            let ov = txn.overlay_mut(&key, &t);
-            self.matching_rids_in(&ov.effective(), &bound_sel)?
-        };
-        let mut n = 0;
+        let victims = self.find_victims(txn, &key, &t, &bound_sel)?;
+        // Compute and validate every replacement before touching
+        // anything: a bad assignment must not half-delete a row.
+        let mut updates = Vec::with_capacity(victims.len());
         for (rid, old) in victims {
-            // Compute and validate the replacement before touching
-            // anything: a bad assignment must not half-delete the row.
-            let mut values = old.values().to_vec();
-            for (idx, ty, e) in &bound_assign {
-                values[*idx] = coerce(e.eval_row(&old)?, *ty)?;
-            }
-            let new = Row::new(values);
+            let new = Self::apply_assignments(&bound_assign, &old)?;
             schema.check_row(&new)?;
+            updates.push((rid, old, new));
+        }
+        // The new versions land in the delta store like any insert: same
+        // admission, and before anything is buffered, so a refusal
+        // leaves every row with its old value.
+        if !updates.is_empty() {
+            t.backpressure_admit()?;
+        }
+        let n = updates.len();
+        for (rid, old, new) in updates {
             // An UPDATE is a delete + insert, the same two frames
             // crash-replay applies in this order.
-            self.txn_delete_one(txn, &key, &t, rid, old)?;
-            self.txn_log(
-                txn.id,
-                WalRecord::InsertBatch {
-                    table: key.clone(),
-                    rows: vec![new.clone()],
-                },
-            )?;
-            let ov = txn.overlay_mut(&key, &t);
-            ov.inserted.push((ov.next_synth, new.clone()));
-            ov.next_synth += 1;
-            txn.ops.push(TxnWriteOp::Insert {
-                table: key.clone(),
-                rows: vec![new],
-            });
-            n += 1;
+            self.txn_delete_one(txn, &key, rid, old)?;
+            self.buffer_insert(txn, &key, vec![new])?;
         }
         Ok(QueryResult::Affected(n))
+    }
+
+    /// The victim search: rows of the transaction's effective view of
+    /// table `key` that match `selection`, with their row ids.
+    fn find_victims(
+        &self,
+        txn: &mut ActiveTxn,
+        key: &str,
+        t: &ColumnStoreTable,
+        selection: &Option<Expr>,
+    ) -> Result<Vec<(RowId, Row)>> {
+        let snap = txn.effective(key, t);
+        let mut out = Vec::new();
+        for g in snap.groups() {
+            let visible = snap.visible_bitmap(g);
+            for tuple in visible.iter_ones() {
+                let row = Row::new(g.row_values(tuple)?);
+                if Self::row_matches(selection, &row)? {
+                    out.push((RowId::new(g.id(), tuple as u32), row));
+                }
+            }
+        }
+        for (rid, row) in snap.delta_rows() {
+            if Self::row_matches(selection, row)? {
+                out.push((*rid, row.clone()));
+            }
+        }
+        Ok(out)
     }
 
     /// `SET <option> = <value>`: session options.
@@ -1461,196 +1475,103 @@ impl Database {
         Ok(rows)
     }
 
-    fn run_insert(
-        &self,
-        table: &str,
-        value_rows: Vec<Vec<cstore_sql::ast::AstExpr>>,
-    ) -> Result<QueryResult> {
-        self.check_writable()?;
-        let entry = self.catalog.try_get(table)?;
-        let schema = entry.schema();
-        let rows = Self::literal_rows(table, &schema, value_rows)?;
-        let n = rows.len();
-        match entry {
-            TableEntry::ColumnStore(t) => {
-                // INSERT ... VALUES is the trickle path; programmatic bulk
-                // loads use [`Database::bulk_load`]. The whole statement is
-                // one WAL frame and one commit obligation, however many
-                // rows it carries.
-                t.insert_batch(&rows)?;
-            }
-            TableEntry::Heap(_) => {
-                self.catalog.with_heap_mut(table, |h| h.insert_all(&rows))?;
-            }
-        }
-        Ok(QueryResult::Affected(n))
-    }
-
-    /// Collect the row ids of live rows matching `selection`.
-    fn matching_rids(
-        &self,
-        t: &cstore_delta::ColumnStoreTable,
-        selection: &Option<Expr>,
-    ) -> Result<Vec<(RowId, Row)>> {
-        self.matching_rids_in(&t.snapshot(), selection)
-    }
-
-    /// Collect the row ids of rows in `snap` matching `selection` —
-    /// transactions pass their effective (base + overlay) snapshot.
-    fn matching_rids_in(
-        &self,
-        snap: &TableSnapshot,
-        selection: &Option<Expr>,
-    ) -> Result<Vec<(RowId, Row)>> {
-        let mut out = Vec::new();
-        for g in snap.groups() {
-            let visible = snap.visible_bitmap(g);
-            for tuple in visible.iter_ones() {
-                let row = Row::new(g.row_values(tuple)?);
-                if self.row_matches(selection, &row)? {
-                    out.push((RowId::new(g.id(), tuple as u32), row));
-                }
-            }
-        }
-        for (rid, row) in snap.delta_rows() {
-            if self.row_matches(selection, row)? {
-                out.push((*rid, row.clone()));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Reject an auto-commit write of a row an open transaction has
-    /// write-locked: the implicit statement loses with a CONFLICT
-    /// instead of silently overwriting (or being overwritten by) the
-    /// transaction's buffered write.
-    fn check_unlocked(&self, table: &str, rid: RowId) -> Result<()> {
-        if let Some(owner) = self.txns.locked_by_other(table, rid, None) {
-            self.txns.note_conflict();
-            return Err(Error::Conflict(format!(
-                "row {}:{} is write-locked by open transaction {owner}",
-                table.to_ascii_lowercase(),
-                rid.pack()
-            )));
-        }
-        Ok(())
-    }
-
-    fn row_matches(&self, selection: &Option<Expr>, row: &Row) -> Result<bool> {
+    fn row_matches(selection: &Option<Expr>, row: &Row) -> Result<bool> {
         Ok(match selection {
             None => true,
             Some(e) => matches!(e.eval_row(row)?, Value::Bool(true)),
         })
     }
 
-    fn run_delete(
-        &self,
-        table: &str,
+    fn bind_selection(
         selection: Option<cstore_sql::ast::AstExpr>,
-    ) -> Result<QueryResult> {
-        self.check_writable()?;
-        let entry = self.catalog.try_get(table)?;
-        let schema = entry.schema();
-        let bound = selection
-            .map(|s| bind_expr_on_schema(&s, &schema, table))
-            .transpose()?;
-        match entry {
-            TableEntry::ColumnStore(t) => {
-                let victims = self.matching_rids(&t, &bound)?;
-                let mut n = 0;
-                // Value-verified: a concurrent tuple-mover pass can
-                // renumber rows between the scan above and each delete,
-                // so a bare rid could hit the wrong row.
-                for (rid, row) in victims {
-                    self.check_unlocked(table, rid)?;
-                    if t.delete_verified(rid, &row)? {
-                        n += 1;
-                    }
-                }
-                Ok(QueryResult::Affected(n))
-            }
-            TableEntry::Heap(h) => {
-                let victims: Vec<_> = h
-                    .scan_with_rids()
-                    .filter_map(|(rid, row)| match self.row_matches(&bound, &row) {
-                        Ok(true) => Some(Ok(rid)),
-                        Ok(false) => None,
-                        Err(e) => Some(Err(e)),
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let n = victims.len();
-                self.catalog.with_heap_mut(table, |h| {
-                    for rid in victims {
-                        h.delete(rid);
-                    }
-                    Ok(())
-                })?;
-                Ok(QueryResult::Affected(n))
-            }
-        }
+        schema: &Schema,
+        table: &str,
+    ) -> Result<Option<Expr>> {
+        selection
+            .map(|s| bind_expr_on_schema(&s, schema, table))
+            .transpose()
     }
 
-    fn run_update(
-        &self,
+    /// Bind `SET col = expr` pairs to (column index, column type, expr).
+    fn bind_assignments(
+        assignments: &[(String, cstore_sql::ast::AstExpr)],
+        schema: &Schema,
         table: &str,
-        assignments: Vec<(String, cstore_sql::ast::AstExpr)>,
-        selection: Option<cstore_sql::ast::AstExpr>,
-    ) -> Result<QueryResult> {
-        self.check_writable()?;
-        let entry = self.catalog.try_get(table)?;
-        let schema = entry.schema();
-        let bound_sel = selection
-            .map(|s| bind_expr_on_schema(&s, &schema, table))
-            .transpose()?;
-        let bound_assign: Vec<(usize, DataType, Expr)> = assignments
+    ) -> Result<Vec<(usize, DataType, Expr)>> {
+        assignments
             .iter()
             .map(|(col, e)| {
                 let idx = schema.try_index_of(col)?;
                 Ok((
                     idx,
                     schema.field(idx).data_type,
-                    bind_expr_on_schema(e, &schema, table)?,
+                    bind_expr_on_schema(e, schema, table)?,
                 ))
             })
-            .collect::<Result<Vec<_>>>()?;
-        let apply = |row: &Row| -> Result<Row> {
-            let mut values = row.values().to_vec();
-            for (idx, ty, e) in &bound_assign {
-                values[*idx] = coerce(e.eval_row(row)?, *ty)?;
-            }
-            Ok(Row::new(values))
+            .collect()
+    }
+
+    /// The updated version of `row`; every assignment reads the old row.
+    fn apply_assignments(bound: &[(usize, DataType, Expr)], row: &Row) -> Result<Row> {
+        let mut values = row.values().to_vec();
+        for (idx, ty, e) in bound {
+            values[*idx] = coerce(e.eval_row(row)?, *ty)?;
+        }
+        Ok(Row::new(values))
+    }
+
+    /// DML on a heap table. The row-store baseline is not transactional:
+    /// the statement applies directly, under the catalog's write lock.
+    fn run_heap_dml(&self, h: &HeapTable, stmt: Statement) -> Result<QueryResult> {
+        self.check_writable()?;
+        let schema = h.schema();
+        let victims = |selection, table: &str| -> Result<Vec<_>> {
+            let bound = Self::bind_selection(selection, schema, table)?;
+            h.scan_with_rids()
+                .filter_map(|(rid, row)| match Self::row_matches(&bound, &row) {
+                    Ok(true) => Some(Ok((rid, row))),
+                    Ok(false) => None,
+                    Err(e) => Some(Err(e)),
+                })
+                .collect()
         };
-        match entry {
-            TableEntry::ColumnStore(t) => {
-                let victims = self.matching_rids(&t, &bound_sel)?;
-                let mut n = 0;
-                for (rid, old) in victims {
-                    self.check_unlocked(table, rid)?;
-                    if t.update_verified(rid, &old, apply(&old)?)?.is_some() {
-                        n += 1;
-                    }
-                }
-                Ok(QueryResult::Affected(n))
+        match stmt {
+            Statement::Insert { table, rows } => {
+                let rows = Self::literal_rows(&table, schema, rows)?;
+                self.catalog
+                    .with_heap_mut(&table, |h| h.insert_all(&rows))?;
+                Ok(QueryResult::Affected(rows.len()))
             }
-            TableEntry::Heap(h) => {
-                let victims: Vec<_> = h
-                    .scan_with_rids()
-                    .filter_map(|(rid, row)| match self.row_matches(&bound_sel, &row) {
-                        Ok(true) => Some(apply(&row).map(|new| (rid, new))),
-                        Ok(false) => None,
-                        Err(e) => Some(Err(e)),
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                let n = victims.len();
-                self.catalog.with_heap_mut(table, |h| {
-                    for (rid, new) in victims {
-                        h.delete(rid);
-                        h.insert(&new)?;
+            Statement::Delete { table, selection } => {
+                let victims = victims(selection, &table)?;
+                self.catalog.with_heap_mut(&table, |h| {
+                    for (rid, _) in &victims {
+                        h.delete(*rid);
                     }
                     Ok(())
                 })?;
-                Ok(QueryResult::Affected(n))
+                Ok(QueryResult::Affected(victims.len()))
             }
+            Statement::Update {
+                table,
+                assignments,
+                selection,
+            } => {
+                let bound = Self::bind_assignments(&assignments, schema, &table)?;
+                let updates = victims(selection, &table)?
+                    .into_iter()
+                    .map(|(rid, old)| Ok((rid, Self::apply_assignments(&bound, &old)?)))
+                    .collect::<Result<Vec<_>>>()?;
+                self.catalog.with_heap_mut(&table, |h| {
+                    for (rid, new) in &updates {
+                        h.delete(*rid);
+                        h.insert(new)?;
+                    }
+                    Ok(())
+                })?;
+                Ok(QueryResult::Affected(updates.len()))
+            }
+            other => Err(Error::Sql(format!("not a DML statement: {other:?}"))),
         }
     }
 

@@ -23,11 +23,21 @@
 //! or abort) — there is no deadlock risk because lock acquisition never
 //! blocks: a held lock is an immediate `Error::Conflict` for the loser,
 //! the paper-engine analogue of SQL Server's update conflict under
-//! snapshot isolation. Auto-commit writers consult the same table so an
-//! implicit statement cannot silently overwrite a row an open
-//! transaction has written.
+//! snapshot isolation. There is no second rule for autocommit: an
+//! autocommit statement *is* a transaction (see `write.rs`), so it takes
+//! the same locks through the same [`TxnManager::lock_row`].
+//!
+//! ## Implicit transactions
+//!
+//! An autocommit statement's single-statement transaction draws its id
+//! from [`TxnManager::next_id`] without [`TxnManager::begin`]: it can
+//! own row locks and frame WAL records, but it is never *registered* —
+//! it does not appear in `sys.transactions`, cannot evict an explicit
+//! transaction from the recent ring, and moves no started/committed
+//! counter. [`TxnManager::finish`] on such an id only releases its locks.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cstore_common::sync::Mutex;
@@ -63,7 +73,8 @@ pub struct TxnInfo {
     pub statements: u64,
     /// Buffered write operations (inserts + deletes; an UPDATE is two).
     pub write_ops: u64,
-    /// WAL tail LSN when the snapshot was pinned at BEGIN.
+    /// WAL tail LSN at BEGIN: everything the transaction's snapshots
+    /// (pinned later, at first read) show is at or after this point.
     pub snapshot_lsn: u64,
     /// LSN of the TxnCommit record, for committed transactions.
     pub commit_lsn: Option<u64>,
@@ -80,13 +91,18 @@ pub struct TxnCounters {
     pub conflicts: u64,
 }
 
+/// A locked row: `(lowercased table, packed rid)`.
+type RowKey = (String, u64);
+
 #[derive(Default)]
 struct TxnTable {
-    next_id: u64,
     active: BTreeMap<u64, TxnInfo>,
-    /// `(table, packed rid) -> owning txn id`. Never blocks: a foreign
-    /// owner is an immediate conflict.
-    row_locks: HashMap<(String, u64), u64>,
+    /// Locked row -> owning txn id. Never blocks: a foreign owner is an
+    /// immediate conflict.
+    row_locks: HashMap<RowKey, u64>,
+    /// The inverse, so finishing a transaction releases exactly its own
+    /// locks instead of scanning everyone's.
+    held: HashMap<u64, Vec<RowKey>>,
     /// Recently finished transactions, newest last.
     recent: VecDeque<TxnInfo>,
     counters: TxnCounters,
@@ -94,6 +110,9 @@ struct TxnTable {
 
 /// Shared transaction manager; see the module docs.
 pub struct TxnManager {
+    /// Last id handed out; outside the mutex so an autocommit statement
+    /// gets its id without taking it.
+    last_id: AtomicU64,
     txn_state: Mutex<TxnTable>,
 }
 
@@ -106,15 +125,21 @@ impl Default for TxnManager {
 impl TxnManager {
     pub fn new() -> Self {
         TxnManager {
+            last_id: AtomicU64::new(0),
             txn_state: Mutex::new_leveled(16, "txn.manager", TxnTable::default()),
         }
     }
 
+    /// A fresh transaction id, unique for this manager's lifetime. The
+    /// counter publishes nothing else, so `Relaxed` suffices.
+    pub fn next_id(&self) -> u64 {
+        self.last_id.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
     /// Allocate an id and register an ACTIVE transaction.
     pub fn begin(&self, snapshot_lsn: u64) -> u64 {
+        let id = self.next_id();
         let mut st = self.txn_state.lock();
-        st.next_id += 1;
-        let id = st.next_id;
         st.counters.started += 1;
         st.active.insert(
             id,
@@ -147,22 +172,11 @@ impl TxnManager {
             }
             Some(_) => Ok(()),
             None => {
-                st.row_locks.insert(key, txn);
+                st.row_locks.insert(key.clone(), txn);
+                st.held.entry(txn).or_default().push(key);
                 Ok(())
             }
         }
-    }
-
-    /// The active transaction (other than `txn`, if given) holding a
-    /// write lock on `(table, rid)` — how auto-commit writers detect
-    /// they would trample an open transaction's write.
-    pub fn locked_by_other(&self, table: &str, rid: RowId, txn: Option<u64>) -> Option<u64> {
-        let key = (table.to_ascii_lowercase(), rid.pack());
-        let st = self.txn_state.lock();
-        st.row_locks
-            .get(&key)
-            .copied()
-            .filter(|owner| Some(*owner) != txn)
     }
 
     /// Count a conflict surfaced outside `lock_row` (commit-time
@@ -181,7 +195,8 @@ impl TxnManager {
     }
 
     /// Finish `txn`: release its row locks, stamp the outcome, move it
-    /// to the recent ring, and bump counters.
+    /// to the recent ring, and bump counters. For an implicit
+    /// transaction (never registered by `begin`) only the locks go.
     pub fn finish(
         &self,
         txn: u64,
@@ -192,7 +207,9 @@ impl TxnManager {
         write_ops: u64,
     ) {
         let mut st = self.txn_state.lock();
-        st.row_locks.retain(|_, owner| *owner != txn);
+        for key in st.held.remove(&txn).unwrap_or_default() {
+            st.row_locks.remove(&key);
+        }
         let Some(mut info) = st.active.remove(&txn) else {
             return;
         };
@@ -266,12 +283,29 @@ mod tests {
         let err = m.lock_row(b, "t", rid(1, 2)).unwrap_err();
         assert_eq!(err.code(), "CONFLICT");
         assert_eq!(m.counters().conflicts, 1);
-        assert_eq!(m.locked_by_other("t", rid(1, 2), Some(b)), Some(a));
-        assert_eq!(m.locked_by_other("t", rid(1, 2), Some(a)), None);
-        assert_eq!(m.locked_by_other("t", rid(9, 9), None), None);
         m.finish(a, TxnState::Aborted, None, Some("rollback".into()), 1, 1);
         m.lock_row(b, "t", rid(1, 2)).unwrap();
         assert_eq!(m.counters().rolled_back, 1);
+    }
+
+    #[test]
+    fn implicit_ids_lock_rows_but_are_never_registered() {
+        let m = TxnManager::new();
+        let explicit = m.begin(0);
+        let implicit = m.next_id();
+        assert_ne!(explicit, implicit);
+        m.lock_row(implicit, "t", rid(1, 2)).unwrap();
+        assert_eq!(
+            m.lock_row(explicit, "t", rid(1, 2)).unwrap_err().code(),
+            "CONFLICT"
+        );
+        m.finish(implicit, TxnState::Committed, Some(9), None, 1, 1);
+        m.lock_row(explicit, "t", rid(1, 2)).unwrap();
+        // Only the explicit transaction is visible or counted.
+        assert_eq!(m.view_rows().len(), 1);
+        assert_eq!(m.active_count(), 1);
+        let c = m.counters();
+        assert_eq!((c.started, c.committed), (1, 0));
     }
 
     #[test]

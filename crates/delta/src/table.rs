@@ -119,6 +119,19 @@ pub struct MovePassReport {
     pub rows: usize,
 }
 
+/// What [`ColumnStoreTable::apply_write_set`] did: enough to undo it
+/// exactly, plus the commit obligation of the frames logged with it.
+#[derive(Debug, Default)]
+pub struct AppliedWrites {
+    /// Where the inserted rows landed, in op order.
+    inserted: Vec<RowId>,
+    /// The rows the deletes removed.
+    deleted: Vec<Row>,
+    /// LSN of the last frame logged with the apply — commit it after the
+    /// call returns. `None` when nothing was logged.
+    pub lsn: Option<u64>,
+}
+
 struct Inner {
     cs: ColumnStore,
     open: Option<DeltaStore>,
@@ -160,6 +173,57 @@ impl Inner {
         let lsn = h.wal.log(record)?;
         self.last_lsn = lsn;
         Ok(Some((Arc::clone(&h.wal), lsn)))
+    }
+
+    /// [`Inner::wal_log`] for a write set's frames, buffered in one WAL
+    /// critical section so they share a flush. Returns the LSN to commit.
+    fn wal_log_all(&mut self, records: &[WalRecord]) -> Result<Option<u64>> {
+        let Some(h) = &self.wal else { return Ok(None) };
+        let lsn = h.wal.log_all(records)?;
+        self.last_lsn = lsn.unwrap_or(self.last_lsn);
+        Ok(lsn)
+    }
+
+    /// Apply `ops` in order, recording what was done in `applied`.
+    /// Deletes are value-verified ([`Inner::delete_matching`]);
+    /// `Ok(false)` means one found no live row — stop, the caller undoes.
+    fn apply_ops(&mut self, ops: &[TxnApplyOp], applied: &mut AppliedWrites) -> Result<bool> {
+        for op in ops {
+            match op {
+                TxnApplyOp::Insert(rows) => {
+                    for row in rows {
+                        applied.inserted.push(self.insert_row(row.clone())?);
+                    }
+                }
+                TxnApplyOp::Delete(rid, row) => match self.delete_matching(*rid, row)? {
+                    Some((_, row)) => applied.deleted.push(row),
+                    None => return Ok(false),
+                },
+            }
+        }
+        Ok(true)
+    }
+
+    /// Reverse what `applied` records of `ops` (a prefix, if the apply
+    /// stopped early): put deleted rows back, then remove inserted ones
+    /// — by value, since the tuple mover may have renumbered them since.
+    /// A miss can only mean a concurrent writer raced the same row in
+    /// the failure window; it is counted, not fatal.
+    fn undo_ops(&mut self, ops: &[TxnApplyOp], applied: &AppliedWrites) {
+        let mut misses = 0;
+        for row in &applied.deleted {
+            misses += u64::from(self.insert_row(row.clone()).is_err());
+        }
+        let inserted_rows = ops.iter().flat_map(|op| match op {
+            TxnApplyOp::Insert(rows) => rows.as_slice(),
+            TxnApplyOp::Delete(..) => &[],
+        });
+        for (rid, row) in applied.inserted.iter().zip(inserted_rows) {
+            misses += u64::from(!matches!(self.delete_matching(*rid, row), Ok(Some(_))));
+        }
+        if misses > 0 {
+            cstore_common::metrics::global().add("cstore_txn_undo_errors_total", misses);
+        }
     }
 
     /// Find and remove the row for a value-verified delete: the exact
@@ -335,7 +399,7 @@ impl ColumnStoreTable {
     /// **no** table lock while parked — the condition is re-read under a
     /// brief read lock every wait slice, so a missed wakeup costs one
     /// slice, never a deadline.
-    fn backpressure_admit(&self) -> Result<()> {
+    pub fn backpressure_admit(&self) -> Result<()> {
         let Some(gov) = self.inner.read().governor.clone() else {
             return Ok(());
         };
@@ -594,56 +658,6 @@ impl ColumnStoreTable {
         Ok(deleted)
     }
 
-    /// Delete the row at `rid`, but only if the resident row's values
-    /// still equal `expected`; on a mismatch, fall back to deleting
-    /// `expected` by value. Statement execution snapshots rids and then
-    /// deletes them one at a time, and a concurrent tuple-mover pass can
-    /// compress the delta store in between — renumbering rows
-    /// positionally, so a stale rid would delete the wrong row (or
-    /// none). Unlike [`delete`](Self::delete), an unresolvable group id
-    /// is not an error here: it just means the rid went stale, and the
-    /// by-value fallback decides. Returns `true` if a row was deleted.
-    pub fn delete_verified(&self, rid: RowId, expected: &Row) -> Result<bool> {
-        let mut pending = None;
-        let deleted = {
-            let mut inner = self.inner.write();
-            let inner = &mut *inner;
-            let deleted = match inner.delete_matching(rid, expected)? {
-                Some((rid, row)) => {
-                    if let Some(table) = inner.wal.as_ref().map(|h| h.table.clone()) {
-                        pending = inner.wal_log(&WalRecord::Delete { table, rid, row })?;
-                    }
-                    true
-                }
-                None => false,
-            };
-            inner.sync_delta_charge();
-            deleted
-        };
-        wal_commit(pending)?;
-        Ok(deleted)
-    }
-
-    /// Update = delete + insert. Returns the new row's RowId, or `None` if
-    /// `rid` was not a live row.
-    pub fn update(&self, rid: RowId, row: Row) -> Result<Option<RowId>> {
-        if !self.delete(rid)? {
-            return Ok(None);
-        }
-        Ok(Some(self.insert(row)?))
-    }
-
-    /// Update = verified delete + insert; the stale-rid-safe variant of
-    /// [`update`](Self::update) (see [`delete_verified`](Self::delete_verified)).
-    /// Returns the new row's RowId, or `None` if no row matching
-    /// (`rid`, `expected`) was live.
-    pub fn update_verified(&self, rid: RowId, expected: &Row, row: Row) -> Result<Option<RowId>> {
-        if !self.delete_verified(rid, expected)? {
-            return Ok(None);
-        }
-        Ok(Some(self.insert(row)?))
-    }
-
     /// Fetch the row at `rid` if it is live.
     pub fn get_row(&self, rid: RowId) -> Result<Option<Row>> {
         let inner = self.inner.read();
@@ -852,10 +866,19 @@ impl ColumnStoreTable {
     ) -> Result<u64> {
         use cstore_storage::format::{write_value, Writer};
         let inner = self.inner.read();
-        // Records are logged and applied inside the same write-lock
-        // critical section, so under this read lock every LSN the WAL has
-        // handed out is already applied — the global tail is a valid
-        // per-table watermark, and a quiet table does not pin retirement.
+        // The global WAL tail is a valid per-table watermark (so a quiet
+        // table does not pin retirement) because every frame at or below
+        // it falls in one of two classes. Plain frames and autocommit
+        // brackets are logged inside the write-lock critical section that
+        // applies them (`apply_write_set` logs its `frames` under the
+        // lock), so under this read lock each one is already applied.
+        // `TxnOp` frames of an explicit transaction are not — they are
+        // logged at statement time and applied at COMMIT — but replay
+        // never gates them on their own LSNs: it applies a transaction
+        // once, at its `TxnCommit` record's LSN, and a save is refused
+        // while any explicit transaction is open, so no commit record can
+        // straddle this boundary. An op frame below it belongs to a
+        // transaction that is fully applied here or will never commit.
         let boundary = match &inner.wal {
             Some(h) => h.wal.tail_lsn().max(inner.last_lsn),
             None => inner.last_lsn,
@@ -1114,40 +1137,58 @@ impl ColumnStoreTable {
 
     // ---------------------------------------- transaction commit apply
 
-    /// Insert schema-checked rows *without* logging: the transaction
-    /// layer already logged them as TxnOp frames at statement time, so
-    /// logging again at commit-apply would double them on replay.
-    pub fn apply_unlogged_insert_batch(&self, rows: &[Row]) -> Result<Vec<RowId>> {
-        for row in rows {
-            self.schema.check_row(row)?;
+    /// Apply one transaction's writes to this table, all or nothing, in
+    /// a single write-lock critical section — readers see the whole set
+    /// or none of it. Deletes are value-verified, so rids gone stale
+    /// under a tuple-mover pass still resolve; a delete that finds no
+    /// live row means a concurrent committer consumed that row version
+    /// first — the applied prefix is undone and `Ok(None)` reports the
+    /// write-write conflict.
+    ///
+    /// `frames` are logged after the apply, still under the lock: an
+    /// autocommit statement passes its write set's frames here so that
+    /// logging and applying stay one critical section (what keeps the
+    /// WAL tail a valid watermark in [`ColumnStoreTable::persist`]); an
+    /// explicit transaction logged its `TxnOp` frames at statement time
+    /// and passes none. A refused append undoes the apply. The caller
+    /// commits [`AppliedWrites::lsn`] with no table lock held, and calls
+    /// [`undo_write_set`](Self::undo_write_set) if that fails.
+    pub fn apply_write_set(
+        &self,
+        ops: &[TxnApplyOp],
+        frames: &[WalRecord],
+    ) -> Result<Option<AppliedWrites>> {
+        for op in ops {
+            if let TxnApplyOp::Insert(rows) = op {
+                for row in rows {
+                    self.schema.check_row(row)?;
+                }
+            }
         }
         let mut inner = self.inner.write();
         let inner = &mut *inner;
-        let mut rids = Vec::with_capacity(rows.len());
-        for row in rows {
-            rids.push(inner.insert_row(row.clone())?);
+        let mut applied = AppliedWrites::default();
+        let mut outcome = inner.apply_ops(ops, &mut applied);
+        if let Ok(true) = outcome {
+            match inner.wal_log_all(frames) {
+                Ok(lsn) => applied.lsn = lsn,
+                Err(e) => outcome = Err(e),
+            }
+        }
+        if !matches!(outcome, Ok(true)) {
+            inner.undo_ops(ops, &applied);
         }
         inner.sync_delta_charge();
-        Ok(rids)
+        Ok(outcome?.then_some(applied))
     }
 
-    /// Value-verified delete *without* logging (see
-    /// [`apply_unlogged_insert_batch`](Self::apply_unlogged_insert_batch)
-    /// for why). Returns the resolved `(rid, row)` when a matching live
-    /// row was deleted — `None` means a concurrent committer got the row
-    /// first, which the transaction layer treats as a write-write
-    /// conflict at commit. Mover-safe: resolution falls back to by-value
-    /// when the rid went stale (PR 5 discipline).
-    pub fn apply_unlogged_delete(
-        &self,
-        rid: RowId,
-        expected: &Row,
-    ) -> Result<Option<(RowId, Row)>> {
+    /// Take back an applied write set whose commit record could not be
+    /// made durable: replay will discard the transaction, so the live
+    /// image must agree. Unlogged, for the same reason.
+    pub fn undo_write_set(&self, ops: &[TxnApplyOp], applied: &AppliedWrites) {
         let mut inner = self.inner.write();
-        let inner = &mut *inner;
-        let hit = inner.delete_matching(rid, expected)?;
+        inner.undo_ops(ops, applied);
         inner.sync_delta_charge();
-        Ok(hit)
     }
 
     /// A consistent snapshot for scans.
@@ -1317,14 +1358,18 @@ mod tests {
         assert!(t.delete(rids[3]).unwrap());
         t.close_open_delta();
         assert_eq!(t.tuple_move_once().unwrap(), 1);
+        let delete_verified = |rid: RowId, expected: Row| {
+            let ops = [TxnApplyOp::Delete(rid, expected)];
+            t.apply_write_set(&ops, &[]).unwrap().is_some()
+        };
         // Row 7 now sits at position 6 of the compressed group; its old
         // rid points at row 8. The verified delete removes row 7 anyway.
-        assert!(t.delete_verified(rids[7], &row(7)).unwrap());
+        assert!(delete_verified(rids[7], row(7)));
         // Row 9 is the last row; its old tuple id (9) is past the end of
         // the 9-row group, which a bare rid lookup cannot resolve at all.
-        assert!(t.delete_verified(rids[9], &row(9)).unwrap());
+        assert!(delete_verified(rids[9], row(9)));
         // Already-deleted rows are not found again.
-        assert!(!t.delete_verified(rids[7], &row(7)).unwrap());
+        assert!(!delete_verified(rids[7], row(7)));
         assert_eq!(t.total_rows(), 7);
         assert_eq!(t.sum_i64(0).unwrap(), (0..10).sum::<i64>() - 3 - 7 - 9);
     }
@@ -1498,24 +1543,37 @@ mod tests {
         assert!(t.delete(RowId::new(RowGroupId(99), 0)).is_err());
     }
 
+    /// A write set is all-or-nothing: a delete that finds no live row
+    /// takes the already-applied prefix back out, and a set whose commit
+    /// record was never made durable can be undone exactly afterwards.
     #[test]
-    fn update_moves_row() {
+    fn write_set_applies_atomically_and_undoes_exactly() {
         let t = ColumnStoreTable::new(schema(), small_config());
         t.bulk_insert(&(0..1000).map(row).collect::<Vec<_>>())
             .unwrap();
         let old = RowId::new(RowGroupId(0), 7);
         let old_row = t.get_row(old).unwrap().unwrap();
-        let new_rid = t.update(old, row(9999)).unwrap().unwrap();
-        assert_ne!(old.group, new_rid.group, "update lands in a delta store");
-        assert_eq!(t.get_row(old).unwrap(), None);
-        assert_eq!(
-            t.get_row(new_rid).unwrap().unwrap().get(0),
-            &Value::Int64(9999)
-        );
-        assert_ne!(old_row.get(0), &Value::Int64(9999));
+        let before = t.sum_i64(0).unwrap();
+        // UPDATE = delete + insert; the second delete conflicts.
+        let conflicting = [
+            TxnApplyOp::Delete(old, old_row.clone()),
+            TxnApplyOp::Insert(vec![row(9999)]),
+            TxnApplyOp::Delete(old, row(123_456)),
+        ];
+        assert!(t.apply_write_set(&conflicting, &[]).unwrap().is_none());
         assert_eq!(t.total_rows(), 1000);
-        // Updating a dead row yields None.
-        assert_eq!(t.update(old, row(1)).unwrap(), None);
+        assert_eq!(t.sum_i64(0).unwrap(), before);
+        // Without the conflict the same update lands in a delta store…
+        let update = &conflicting[..2];
+        let applied = t.apply_write_set(update, &[]).unwrap().unwrap();
+        assert_eq!(t.get_row(old).unwrap(), None);
+        assert_eq!(t.stats().delta_rows, 1);
+        assert_eq!(t.total_rows(), 1000);
+        // …and can be taken back out.
+        t.undo_write_set(update, &applied);
+        assert_eq!(t.stats().delta_rows, 1, "the old version is re-inserted");
+        assert_eq!(t.total_rows(), 1000);
+        assert_eq!(t.sum_i64(0).unwrap(), before);
     }
 
     #[test]

@@ -549,6 +549,24 @@ struct WalState {
     counters: WalCounters,
 }
 
+impl WalState {
+    /// Give an encoded frame the next LSN and queue it for the next
+    /// flush. The frame was encoded with a placeholder LSN: patch the
+    /// real one in (offset 8 = after len+crc), then fix the CRC over
+    /// the payload.
+    fn buffer_frame(&mut self, mut frame: Vec<u8>) -> u64 {
+        let lsn = self.next_lsn;
+        self.next_lsn += 1;
+        frame[8..16].copy_from_slice(&lsn.to_le_bytes());
+        let crc = crc32(&frame[8..]);
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        self.counters.records_appended += 1;
+        self.counters.bytes_appended += frame.len() as u64;
+        self.buffer.push((lsn, frame));
+        lsn
+    }
+}
+
 /// Cumulative counters surfaced via `sys.wal` and the metrics registry.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WalCounters {
@@ -968,22 +986,28 @@ impl Wal {
     /// [`Wal::commit`] (after releasing any table lock) to make it
     /// durable. Safe to call while holding a table's write lock.
     pub fn log(&self, record: &WalRecord) -> Result<u64> {
-        let mut frame_tail = encode_frame(0, record)?; // placeholder lsn
+        let frame = encode_frame(0, record)?; // placeholder lsn
         let mut st = self.core.wal_state.lock();
         if let Some(e) = &st.failed {
             return Err(Error::Storage(format!("WAL is failed: {e}")));
         }
-        let lsn = st.next_lsn;
-        st.next_lsn += 1;
-        // Patch the real LSN into the already encoded frame (offset 8 =
-        // after len+crc), then fix the CRC over the payload.
-        frame_tail[8..16].copy_from_slice(&lsn.to_le_bytes());
-        let crc = crc32(&frame_tail[8..]);
-        frame_tail[4..8].copy_from_slice(&crc.to_le_bytes());
-        st.counters.records_appended += 1;
-        st.counters.bytes_appended += frame_tail.len() as u64;
-        st.buffer.push((lsn, frame_tail));
-        Ok(lsn)
+        Ok(st.buffer_frame(frame))
+    }
+
+    /// [`Wal::log`] for several records under **one** `wal_state`
+    /// critical section: they get consecutive LSNs and the log-writer
+    /// thread cannot steal part of them, so they reach storage in one
+    /// flush. Returns the last record's LSN (`None` for no records).
+    pub fn log_all(&self, records: &[WalRecord]) -> Result<Option<u64>> {
+        let frames = records
+            .iter()
+            .map(|r| encode_frame(0, r))
+            .collect::<Result<Vec<_>>>()?;
+        let mut st = self.core.wal_state.lock();
+        if let Some(e) = &st.failed {
+            return Err(Error::Storage(format!("WAL is failed: {e}")));
+        }
+        Ok(frames.into_iter().map(|f| st.buffer_frame(f)).last())
     }
 
     /// Make every record up to `lsn` durable per the current
@@ -1384,15 +1408,43 @@ pub struct WalHandle {
     pub table: String,
 }
 
-/// One buffered transactional operation, applied at its TxnCommit.
-/// Within a table the ops preserve the transaction's log order, so a
-/// delete targeting a row the same transaction inserted resolves.
+/// One write of a transaction against one table: what the live commit
+/// applies ([`ColumnStoreTable::apply_write_set`]) and what replay
+/// rebuilds from `TxnOp` frames and applies at the `TxnCommit`. Within
+/// a table the ops preserve the transaction's log order, so a delete
+/// targeting a row the same transaction inserted resolves.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TxnApplyOp {
     /// Insert these rows (one Insert or InsertBatch frame's worth).
     Insert(Vec<Row>),
     /// Delete this row; the values drive replay-by-value fallback.
     Delete(RowId, Row),
+}
+
+impl TxnApplyOp {
+    /// The WAL record body for this op against `table` — the same body
+    /// whether it is logged as a plain frame or wrapped in a `TxnOp`
+    /// (the inverse of the mapping replay does at `TxnCommit`).
+    pub fn record(&self, table: &str) -> WalRecord {
+        let table = table.to_string();
+        match self {
+            TxnApplyOp::Insert(rows) => match rows.as_slice() {
+                [row] => WalRecord::Insert {
+                    table,
+                    row: row.clone(),
+                },
+                _ => WalRecord::InsertBatch {
+                    table,
+                    rows: rows.clone(),
+                },
+            },
+            TxnApplyOp::Delete(rid, row) => WalRecord::Delete {
+                table,
+                rid: *rid,
+                row: row.clone(),
+            },
+        }
+    }
 }
 
 /// Outcome of replaying one Delete record.

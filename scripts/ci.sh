@@ -274,4 +274,22 @@ for field in '"experiment":"E8"' '"budget_10pct_spilled_bytes":' \
 done
 rm -rf "$bench_results"
 
+# Write-path gate: a short quick-scale pass of the benchmark's
+# `trickle_ingest` workload — autocommit inserts, 16-row inserts,
+# BEGIN…COMMIT batches, UPDATE and DELETE from two sessions beside the
+# tuple mover, then a restart — must acknowledge and recover every
+# operation. Timings are not judged here (a quick run is too short);
+# only that the last line, the JSON result, reports no failed operation.
+echo "==> perfbench trickle_ingest smoke"
+trickle=$(cd perfbench && cargo run --release --offline --quiet --bin bench -- \
+    run --workload trickle_ingest --quick --seconds 3 | tail -n 1)
+case "$trickle" in
+*'"failed": 0,'*) ;;
+*)
+    echo "trickle_ingest reported failed operations:"
+    echo "$trickle"
+    exit 1
+    ;;
+esac
+
 echo "==> ci: all gates passed"

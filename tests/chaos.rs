@@ -884,11 +884,13 @@ enum TxnChaosOp {
     Save,
 }
 
-/// Auto-commit traffic around three multi-statement transactions — two
-/// committed (one before and one after a mover pass + checkpointing
-/// save), one rolled back — mixing single inserts, batch inserts,
-/// updates (delete+insert WAL pairs), deletes of pre-existing rows, and
-/// a delete of the transaction's own uncommitted insert (nets out).
+/// Auto-commit traffic (single-frame inserts and deletes, plus a
+/// multi-frame UPDATE and multi-row DELETE) around three multi-statement
+/// transactions — two committed (one before and one after a mover pass +
+/// checkpointing save), one rolled back — mixing single inserts, batch
+/// inserts, updates (delete+insert WAL pairs), deletes of pre-existing
+/// rows, and a delete of the transaction's own uncommitted insert (nets
+/// out).
 fn fixed_txn_ops() -> Vec<TxnChaosOp> {
     let mut ops = Vec::new();
     for i in 0..8i64 {
@@ -896,6 +898,14 @@ fn fixed_txn_ops() -> Vec<TxnChaosOp> {
             "INSERT INTO t VALUES ({i}, 'seed{i}')"
         )));
     }
+    // Multi-frame auto-commit statements: an UPDATE (delete + insert) and
+    // a two-row DELETE. Each is an implicit transaction committed under a
+    // TxnBegin/TxnOp/TxnCommit bracket, so a crash at any of its appends
+    // or at its fsync must recover all-old or all-new, never half.
+    ops.push(TxnChaosOp::Auto(
+        "UPDATE t SET v = 'auto-updated' WHERE id = 1".into(),
+    ));
+    ops.push(TxnChaosOp::Auto("DELETE FROM t WHERE id < 2".into()));
     ops.push(TxnChaosOp::Txn {
         stmts: vec![
             "INSERT INTO t VALUES (100, 'txn1')".into(),

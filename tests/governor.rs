@@ -235,15 +235,76 @@ fn backpressure_rejects_inserts_until_mover_drains() {
         other => panic!("expected ResourceExhausted, got {other}"),
     }
 
+    // An insert inside a transaction meets the same admission point: the
+    // statement is refused, not deferred to a commit that would bypass
+    // the throttle.
+    db.execute("BEGIN").unwrap();
+    let err = db.execute("INSERT INTO t VALUES (98)").unwrap_err();
+    assert!(
+        matches!(&err, Error::ResourceExhausted(m) if m.contains("delta-store backpressure")),
+        "transactional insert must be refused at the high-water mark, got {err}"
+    );
+    db.execute("ROLLBACK").unwrap();
+
     // A mover pass compresses the closed stores; inserts resume.
     assert!(db.tuple_move("t").unwrap() > 0);
     db.execute("INSERT INTO t VALUES (99)").unwrap();
     let r = db.execute("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(r.rows()[0].get(0).to_string(), "22");
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO t VALUES (98)").unwrap();
+    db.execute("COMMIT").unwrap();
+    let r = db.execute("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(r.rows()[0].get(0).to_string(), "23");
 
     let snap = db.governor().snapshot();
     assert!(snap.backpressure_rejected_total >= 1, "{snap:?}");
     assert_eq!(snap.backpressure_high_water, 2, "{snap:?}");
+}
+
+/// An UPDATE is a delete plus an insert, and the insert half can be
+/// refused by delta backpressure. The statement must then fail whole:
+/// the row keeps its old value. (The old autocommit path committed the
+/// delete first, so the refused re-insert lost the row.)
+#[test]
+fn refused_update_keeps_the_row() {
+    let db = Database::new().with_table_config(TableConfig {
+        delta_capacity: 10,
+        bulk_load_threshold: 200,
+        max_rowgroup_rows: 500,
+        ..TableConfig::default()
+    });
+    db.execute("CREATE TABLE t (id BIGINT NOT NULL, v BIGINT NOT NULL)")
+        .unwrap();
+    db.execute("SET delta_high_water_mark = 2").unwrap();
+    db.execute("SET backpressure_timeout_ms = 50").unwrap();
+    // Two closed stores plus one row: at the high-water mark.
+    for i in 0..21 {
+        db.execute(&format!("INSERT INTO t VALUES ({i}, 7)"))
+            .unwrap();
+    }
+    let value_of_5 = || {
+        let r = db.execute("SELECT v FROM t WHERE id = 5").unwrap();
+        assert_eq!(r.rows().len(), 1, "row 5 must exist exactly once");
+        r.rows()[0].get(0).clone()
+    };
+
+    let err = db.execute("UPDATE t SET v = 8 WHERE id = 5").unwrap_err();
+    assert!(
+        matches!(&err, Error::ResourceExhausted(m) if m.contains("delta-store backpressure")),
+        "{err}"
+    );
+    assert_eq!(value_of_5(), Value::Int64(7));
+
+    // Once the mover drains the closed stores the same UPDATE goes through.
+    assert!(db.tuple_move("t").unwrap() > 0);
+    assert_eq!(
+        db.execute("UPDATE t SET v = 8 WHERE id = 5")
+            .unwrap()
+            .affected(),
+        1
+    );
+    assert_eq!(value_of_5(), Value::Int64(8));
 }
 
 /// `sys.resource_governor` and the `cstore_governor_*` metric series

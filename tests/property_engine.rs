@@ -218,3 +218,140 @@ fn delete_lifecycle_preserves_live_rows() {
         assert_eq!(t.total_rows(), n_live, "seed {seed}");
     }
 }
+
+/// One seeded DML script: single- and multi-row inserts, updates and
+/// deletes by id and by range, a delete of a row the script itself just
+/// inserted, and a tuple-mover pass in the middle (`None`).
+fn dml_script(seed: u64) -> Vec<Option<String>> {
+    let mut rng = Rng::new(seed ^ 0xD1FF);
+    let mut next_id = 0i64;
+    let mut script = Vec::new();
+    let n = rng.range_usize(24, 40);
+    for step in 0..n {
+        if step == n / 2 {
+            script.push(None);
+        }
+        let id = rng.range_i64(0, next_id.max(1));
+        let stmt = match rng.below(8) {
+            0..=1 => {
+                next_id += 1;
+                format!("INSERT INTO t VALUES ({}, 'one')", next_id - 1)
+            }
+            2 => {
+                next_id += 3;
+                let (a, b, c) = (next_id - 3, next_id - 2, next_id - 1);
+                format!("INSERT INTO t VALUES ({a}, 'm'), ({b}, 'm'), ({c}, 'm')")
+            }
+            3 => format!("UPDATE t SET v = 'u{step}' WHERE id = {id}"),
+            4 => format!(
+                "UPDATE t SET v = 'r{step}' WHERE id >= {id} AND id < {}",
+                id + 4
+            ),
+            5 => format!("DELETE FROM t WHERE id = {id}"),
+            6 => format!("DELETE FROM t WHERE id >= {id} AND id < {}", id + 3),
+            _ => {
+                next_id += 1;
+                script.push(Some(format!(
+                    "INSERT INTO t VALUES ({}, 'own')",
+                    next_id - 1
+                )));
+                format!("DELETE FROM t WHERE id = {}", next_id - 1)
+            }
+        };
+        script.push(Some(stmt));
+    }
+    script
+}
+
+/// The "autocommit vs inside a transaction" axis of the differential
+/// oracle: one DML script run (a) as autocommit statements, (b) each
+/// statement in its own `BEGIN…COMMIT`, (c) as one transaction must leave
+/// identical table contents — live, and again after dropping the database
+/// without a save and replaying the WAL, whose frames differ per mode
+/// (plain frames and implicit brackets, per-statement brackets, one big
+/// bracket).
+#[test]
+fn autocommit_and_transactional_dml_agree_live_and_after_replay() {
+    use cstore::storage::blob::MemBlobStore;
+    use cstore::storage::MemLogStore;
+    use cstore::{Database, OpenMode};
+
+    #[derive(Clone, Copy, Debug)]
+    enum Mode {
+        Autocommit,
+        TxnPerStatement,
+        OneTxn,
+    }
+    let contents = |db: &Database| {
+        db.execute("SELECT id, v FROM t ORDER BY id, v")
+            .unwrap()
+            .rows()
+            .to_vec()
+    };
+    for seed in 0..12u64 {
+        let script = dml_script(seed);
+        let mut outcomes = Vec::new();
+        for mode in [Mode::Autocommit, Mode::TxnPerStatement, Mode::OneTxn] {
+            let mut db = Database::new().with_table_config(TableConfig {
+                delta_capacity: 8,
+                bulk_load_threshold: 1 << 30,
+                ..Default::default()
+            });
+            db.execute("CREATE TABLE t (id BIGINT NOT NULL, v VARCHAR)")
+                .unwrap();
+            let mut disk = MemBlobStore::new();
+            db.save_to_store(&mut disk).unwrap();
+            let logs = MemLogStore::new();
+            db.attach_wal_store(Box::new(logs.clone()), Default::default(), None)
+                .unwrap();
+
+            let run = |sql: &str| {
+                db.execute(sql)
+                    .unwrap_or_else(|e| panic!("seed {seed} {mode:?}: {sql}: {e}"))
+            };
+            if let Mode::OneTxn = mode {
+                run("BEGIN");
+            }
+            for step in &script {
+                match (step, mode) {
+                    (None, _) => {
+                        db.tuple_move("t").unwrap();
+                    }
+                    (Some(sql), Mode::TxnPerStatement) => {
+                        run("BEGIN");
+                        run(sql);
+                        run("COMMIT");
+                    }
+                    (Some(sql), _) => {
+                        run(sql);
+                    }
+                }
+            }
+            if let Mode::OneTxn = mode {
+                run("COMMIT");
+            }
+            let live = contents(&db);
+            drop(db); // no save: the WAL alone carries the script
+
+            let (mut reopened, _) = Database::open_from_store(&disk, OpenMode::Strict).unwrap();
+            let report = reopened
+                .attach_wal_store(Box::new(logs.crash_image()), Default::default(), None)
+                .unwrap();
+            assert!(report.is_clean(), "seed {seed} {mode:?}: {report:?}");
+            assert_eq!(
+                contents(&reopened),
+                live,
+                "seed {seed} {mode:?}: replay disagrees with the live image"
+            );
+            outcomes.push(live);
+        }
+        assert_eq!(
+            outcomes[0], outcomes[1],
+            "seed {seed}: autocommit vs txn/stmt"
+        );
+        assert_eq!(
+            outcomes[0], outcomes[2],
+            "seed {seed}: autocommit vs one txn"
+        );
+    }
+}
