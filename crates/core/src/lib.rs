@@ -11,6 +11,7 @@ pub mod introspect;
 pub mod persist;
 pub mod query_store;
 pub mod txn;
+mod write;
 
 pub use catalog::{Catalog, TableEntry};
 pub use cstore_planner::ExecMode;
