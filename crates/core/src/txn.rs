@@ -74,7 +74,8 @@ pub struct TxnInfo {
     /// Buffered write operations (inserts + deletes; an UPDATE is two).
     pub write_ops: u64,
     /// WAL tail LSN at BEGIN: everything the transaction's snapshots
-    /// (pinned later, at first read) show is at or after this point.
+    /// (pinned later, at its first statement) show is at or after this
+    /// point.
     pub snapshot_lsn: u64,
     /// LSN of the TxnCommit record, for committed transactions.
     pub commit_lsn: Option<u64>,

@@ -563,11 +563,17 @@ impl Database {
             .collect()
     }
 
-    /// Append one op to `table`'s share of the write set. An explicit
-    /// transaction logs it first, as a TxnOp frame (log-before-buffer;
+    /// Append one op to `table`'s share of the write set, returning that
+    /// overlay for the caller to update its read view. An explicit
+    /// transaction logs the op first, as a TxnOp frame (log-before-buffer;
     /// no flush — the frame becomes durable with the commit record or is
     /// discarded by replay). An implicit one logs at commit.
-    fn buffer_op(&self, txn: &mut ActiveTxn, table: &str, op: TxnApplyOp) -> Result<()> {
+    fn buffer_op<'t>(
+        &self,
+        txn: &'t mut ActiveTxn,
+        table: &str,
+        op: TxnApplyOp,
+    ) -> Result<&'t mut TableOverlay> {
         if !txn.implicit {
             let wal = self.wal.lock().clone();
             if let Some(w) = wal {
@@ -577,12 +583,9 @@ impl Database {
                 })?;
             }
         }
-        txn.overlays
-            .entry(table.to_string())
-            .or_default()
-            .ops
-            .push(op);
-        Ok(())
+        let ov = txn.overlays.entry(table.to_string()).or_default();
+        ov.ops.push(op);
+        Ok(ov)
     }
 
     /// The columnstore behind a transactional DML statement (heap
@@ -625,8 +628,7 @@ impl Database {
             let rest = rows.split_off(rows.len().min(TXN_WAL_BATCH_ROWS));
             let chunk = std::mem::replace(&mut rows, rest);
             let mirror = chunk.clone();
-            self.buffer_op(txn, key, TxnApplyOp::Insert(chunk))?;
-            let ov = txn.overlays.entry(key.to_string()).or_default();
+            let ov = self.buffer_op(txn, key, TxnApplyOp::Insert(chunk))?;
             for row in mirror {
                 ov.inserted.push((ov.next_synth, row));
                 ov.next_synth += 1;
@@ -661,8 +663,7 @@ impl Database {
             // deterministic CONFLICT instead of a silent lost update.
             self.txns.lock_row(txn.id, key, rid)?;
         }
-        self.buffer_op(txn, key, TxnApplyOp::Delete(rid, row.clone()))?;
-        let ov = txn.overlays.entry(key.to_string()).or_default();
+        let ov = self.buffer_op(txn, key, TxnApplyOp::Delete(rid, row.clone()))?;
         if rid.group == TXN_GROUP {
             // Deleting an own uncommitted insert: drop it from the
             // buffer. The logged insert+delete pair nets out by value

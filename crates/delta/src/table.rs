@@ -1168,13 +1168,12 @@ impl ColumnStoreTable {
         let mut inner = self.inner.write();
         let inner = &mut *inner;
         let mut applied = AppliedWrites::default();
-        let mut outcome = inner.apply_ops(ops, &mut applied);
-        if let Ok(true) = outcome {
-            match inner.wal_log_all(frames) {
-                Ok(lsn) => applied.lsn = lsn,
-                Err(e) => outcome = Err(e),
+        let outcome = inner.apply_ops(ops, &mut applied).and_then(|complete| {
+            if complete {
+                applied.lsn = inner.wal_log_all(frames)?;
             }
-        }
+            Ok(complete)
+        });
         if !matches!(outcome, Ok(true)) {
             inner.undo_ops(ops, &applied);
         }
