@@ -93,14 +93,20 @@ impl Batch {
         self.qualifying = qualifying;
     }
 
-    /// Gather qualified rows into a dense batch (all rows qualifying).
-    pub fn compact(&self) -> Batch {
+    /// Gather qualified rows into a dense batch (all rows qualifying). A
+    /// batch that is already dense passes through without a copy.
+    pub fn compact(self) -> Batch {
         if self.n_qualifying() == self.n_rows() {
-            return self.clone();
+            return self;
         }
         let idx = self.qualifying.to_indices();
         let columns = self.columns.iter().map(|c| c.gather(&idx)).collect();
-        Batch::new(self.types.clone(), columns)
+        Batch::new(self.types, columns)
+    }
+
+    /// The column vectors, qualifying bitmap dropped (for a dense batch).
+    pub fn into_columns(self) -> Vec<Vector> {
+        self.columns
     }
 
     /// A new batch with the given columns appended.

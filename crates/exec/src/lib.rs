@@ -11,6 +11,8 @@
 //!   filter, project, hash join (all join types, spilling, bitmap-filter
 //!   generation), hash aggregation, sort/Top-N, UNION ALL, and the
 //!   mixed-mode adapters;
+//! * `keytable` — the packed-key hash table under hash join and hash
+//!   aggregation;
 //! * [`row_ops`] — the row-mode baseline operators;
 //! * [`bloom`] — exact/Bloom bitmap filters;
 //! * [`spill`] — spill files for graceful degradation;
@@ -19,6 +21,7 @@
 pub mod batch;
 pub mod bloom;
 pub mod expr;
+mod keytable;
 pub mod ops;
 pub mod row_ops;
 pub mod runtime;

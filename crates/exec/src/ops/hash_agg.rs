@@ -1,16 +1,23 @@
 //! Batch-mode hash aggregation (grouped and scalar).
 //!
 //! The paper's expanded repertoire includes batch-mode scalar aggregates
-//! and grouped aggregation; both live here. Group keys hash through the
-//! same vectorized path as joins; aggregate states update per batch.
+//! and grouped aggregation; both live here. A batch's group keys resolve
+//! to group ids through the packed-key table the hash join also uses
+//! ([`crate::keytable`]); each aggregate then updates its own typed state
+//! array from its argument column in one loop over the batch. Scalar
+//! aggregation is the same loop with every row in group 0.
 
-use cstore_common::{DataType, Error, FxHashMap, Result, Row, Value};
+use std::borrow::Cow;
+use std::sync::Arc;
+
+use cstore_common::{Bitmap, DataType, Error, Result};
 
 use crate::batch::Batch;
 use crate::expr::Expr;
+use crate::keytable::{KeyKind, KeyTable};
 use crate::ops::{BatchOperator, BoxedBatchOp};
 use crate::runtime::ExecContext;
-use crate::vector::Vector;
+use crate::vector::{null_bitmap, StrVector, Vector};
 
 /// Aggregate functions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,280 +83,327 @@ impl AggExpr {
     }
 }
 
-/// Running state of one aggregate in one group.
-#[derive(Clone, Debug)]
-enum AggState {
-    Count(i64),
-    Distinct(cstore_common::FxHashSet<Value>),
-    SumI64 {
-        sum: i64,
-        seen: bool,
+/// How `SUM`, `MIN` and `MAX` combine a value into their accumulator.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    Sum,
+    Min,
+    Max,
+}
+
+/// Running state of one aggregate for every group: a typed array per
+/// quantity, indexed by group id.
+enum AggColumn {
+    /// `COUNT(*)` and `COUNT(expr)`.
+    Count(Vec<i64>),
+    /// `COUNT(DISTINCT expr)`: the distinct (group, value) pairs seen; a
+    /// new pair bumps its group's count.
+    Distinct { pairs: KeyTable, counts: Vec<i64> },
+    /// `SUM`/`MIN`/`MAX` over an integer-backed argument; `seen` marks the
+    /// groups that met a non-NULL value (the others yield NULL).
+    I64 {
+        fold: Fold,
+        acc: Vec<i64>,
+        seen: Vec<bool>,
     },
-    SumF64 {
-        sum: f64,
-        seen: bool,
+    /// The same over a float argument.
+    F64 {
+        fold: Fold,
+        acc: Vec<f64>,
+        seen: Vec<bool>,
     },
-    MinMax {
-        best: Option<Value>,
+    /// `MIN`/`MAX` over strings.
+    Str {
         want_max: bool,
+        best: Vec<Option<Arc<str>>>,
     },
     Avg {
-        sum: f64,
-        count: i64,
+        sums: Vec<f64>,
+        counts: Vec<i64>,
         /// 10^scale for decimal inputs (mantissas divide out at the end).
         divisor: f64,
     },
 }
 
-impl AggState {
-    fn new(func: AggFunc, arg_ty: DataType) -> AggState {
-        match func {
-            AggFunc::CountStar | AggFunc::Count => AggState::Count(0),
-            AggFunc::CountDistinct => AggState::Distinct(Default::default()),
-            AggFunc::Sum => {
-                if arg_ty == DataType::Float64 {
-                    AggState::SumF64 {
-                        sum: 0.0,
-                        seen: false,
-                    }
-                } else {
-                    AggState::SumI64 {
-                        sum: 0,
-                        seen: false,
-                    }
-                }
-            }
-            AggFunc::Min => AggState::MinMax {
-                best: None,
-                want_max: false,
-            },
-            AggFunc::Max => AggState::MinMax {
-                best: None,
-                want_max: true,
-            },
-            AggFunc::Avg => AggState::Avg {
-                sum: 0.0,
-                count: 0,
-                divisor: match arg_ty {
-                    DataType::Decimal { scale } => 10f64.powi(scale as i32),
-                    _ => 1.0,
-                },
-            },
-        }
-    }
-
-    /// Update with one value (`None` for `COUNT(*)` which has no argument).
-    fn update(&mut self, v: Option<&Value>) -> Result<()> {
-        match self {
-            AggState::Count(c) => {
-                // COUNT(*) counts rows; COUNT(expr) counts non-null values.
-                match v {
-                    None => *c += 1,
-                    Some(v) if !v.is_null() => *c += 1,
-                    _ => {}
-                }
-            }
-            AggState::Distinct(set) => {
-                if let Some(v) = v.filter(|v| !v.is_null()) {
-                    if !set.contains(v) {
-                        set.insert(v.clone());
-                    }
-                }
-            }
-            AggState::SumI64 { sum, seen } => {
-                if let Some(v) = v.filter(|v| !v.is_null()) {
-                    let x = v
-                        .as_i64()
-                        .ok_or_else(|| Error::Type(format!("SUM over non-integer {v:?}")))?;
-                    *sum = sum
-                        .checked_add(x)
-                        .ok_or_else(|| Error::Execution("SUM overflow".into()))?;
-                    *seen = true;
-                }
-            }
-            AggState::SumF64 { sum, seen } => {
-                if let Some(v) = v.filter(|v| !v.is_null()) {
-                    *sum += v
-                        .as_f64()
-                        .ok_or_else(|| Error::Type(format!("SUM over non-numeric {v:?}")))?;
-                    *seen = true;
-                }
-            }
-            AggState::MinMax { best, want_max } => {
-                if let Some(v) = v.filter(|v| !v.is_null()) {
-                    let better = match best.as_ref() {
-                        None => true,
-                        Some(b) => {
-                            let ord = v.cmp_sql(b);
-                            if *want_max {
-                                ord == std::cmp::Ordering::Greater
-                            } else {
-                                ord == std::cmp::Ordering::Less
-                            }
-                        }
-                    };
-                    if better {
-                        *best = Some(v.clone());
-                    }
-                }
-            }
-            AggState::Avg { sum, count, .. } => {
-                if let Some(v) = v.filter(|v| !v.is_null()) {
-                    let x = match v {
-                        Value::Decimal(m) => *m as f64,
-                        _ => v
-                            .as_f64()
-                            .ok_or_else(|| Error::Type(format!("AVG over non-numeric {v:?}")))?,
-                    };
-                    *sum += x;
-                    *count += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Typed update for integer-backed arguments (no `Value` on the path
-    /// except when a Min/Max improves).
-    #[inline]
-    fn update_i64(&mut self, arg_ty: DataType, x: i64) -> Result<()> {
-        match self {
-            AggState::Count(c) => *c += 1,
-            AggState::Distinct(set) => {
-                let v = Value::from_i64(arg_ty, x);
-                if !set.contains(&v) {
-                    set.insert(v);
-                }
-            }
-            AggState::SumI64 { sum, seen } => {
-                *sum = sum
-                    .checked_add(x)
-                    .ok_or_else(|| Error::Execution("SUM overflow".into()))?;
-                *seen = true;
-            }
-            AggState::SumF64 { sum, seen } => {
-                *sum += x as f64;
-                *seen = true;
-            }
-            AggState::MinMax { best, want_max } => {
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        let cur = b.as_i64().unwrap_or(0);
-                        if *want_max {
-                            x > cur
-                        } else {
-                            x < cur
-                        }
-                    }
-                };
-                if better {
-                    *best = Some(Value::from_i64(arg_ty, x));
-                }
-            }
-            AggState::Avg { sum, count, .. } => {
-                *sum += x as f64;
-                *count += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Typed update for float arguments.
-    #[inline]
-    fn update_f64(&mut self, x: f64) -> Result<()> {
-        match self {
-            AggState::Count(c) => *c += 1,
-            AggState::Distinct(set) => {
-                let v = Value::Float64(x);
-                if !set.contains(&v) {
-                    set.insert(v);
-                }
-            }
-            AggState::SumF64 { sum, seen } => {
-                *sum += x;
-                *seen = true;
-            }
-            AggState::SumI64 { .. } => {
-                return Err(Error::Type("integer SUM over float input".into()))
-            }
-            AggState::MinMax { best, want_max } => {
-                let better = match best {
-                    None => true,
-                    Some(Value::Float64(b)) => {
-                        if *want_max {
-                            x.total_cmp(b).is_gt()
-                        } else {
-                            x.total_cmp(b).is_lt()
-                        }
-                    }
-                    Some(_) => false,
-                };
-                if better {
-                    *best = Some(Value::Float64(x));
-                }
-            }
-            AggState::Avg { sum, count, .. } => {
-                *sum += x;
-                *count += 1;
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self, out_ty: DataType) -> Value {
-        match self {
-            AggState::Count(c) => Value::Int64(c),
-            AggState::Distinct(set) => Value::Int64(set.len() as i64),
-            AggState::SumI64 { sum, seen } => {
-                if seen {
-                    Value::from_i64(out_ty, sum)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::SumF64 { sum, seen } => {
-                if seen {
-                    Value::Float64(sum)
-                } else {
-                    Value::Null
-                }
-            }
-            AggState::MinMax { best, .. } => best.unwrap_or(Value::Null),
-            AggState::Avg {
-                sum,
-                count,
-                divisor,
-            } => {
-                if count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(sum / count as f64 / divisor)
+/// Run `f` on every row of `0..n` that `nulls` does not mark.
+#[inline(always)]
+fn for_each_valid(nulls: Option<&Bitmap>, n: usize, mut f: impl FnMut(usize)) {
+    match nulls {
+        None => (0..n).for_each(f),
+        Some(nulls) => {
+            for i in 0..n {
+                if !nulls.get(i) {
+                    f(i);
                 }
             }
         }
     }
 }
 
-/// Compare a stored group key against row `i` of the evaluated key
-/// vectors, without materializing `Value`s for the row.
-#[inline]
-fn keys_equal(stored: &[Value], key_vecs: &[Vector], i: usize) -> bool {
-    stored.iter().zip(key_vecs).all(|(s, v)| {
-        if v.is_null(i) {
-            return s.is_null();
-        }
-        match (v, s) {
-            (_, Value::Null) => false,
-            (Vector::I64 { values, .. }, _) => s.as_i64() == Some(values[i]),
-            (Vector::F64 { values, .. }, Value::Float64(f)) => values[i].total_cmp(f).is_eq(),
-            (Vector::Str { strings, .. }, Value::Str(sv)) => {
-                let row_str = strings.get(i);
-                std::sync::Arc::ptr_eq(row_str, sv) || row_str.as_ref() == sv.as_ref()
+/// `src` at `entries`, in that order.
+fn gathered<T: Copy>(src: &[T], entries: &[u32]) -> Vec<T> {
+    entries.iter().map(|&e| src[e as usize]).collect()
+}
+
+impl AggColumn {
+    fn new(func: AggFunc, arg_ty: DataType) -> AggColumn {
+        let kind = KeyKind::of(arg_ty);
+        let fold = match func {
+            AggFunc::CountStar | AggFunc::Count => return AggColumn::Count(Vec::new()),
+            AggFunc::CountDistinct => {
+                return AggColumn::Distinct {
+                    pairs: KeyTable::new(vec![KeyKind::I64, kind]),
+                    counts: Vec::new(),
+                }
             }
-            _ => false,
+            AggFunc::Avg => {
+                return AggColumn::Avg {
+                    sums: Vec::new(),
+                    counts: Vec::new(),
+                    divisor: match arg_ty {
+                        DataType::Decimal { scale } => 10f64.powi(scale as i32),
+                        _ => 1.0,
+                    },
+                }
+            }
+            AggFunc::Sum => Fold::Sum,
+            AggFunc::Min => Fold::Min,
+            AggFunc::Max => Fold::Max,
+        };
+        match kind {
+            KeyKind::F64 => AggColumn::F64 {
+                fold,
+                acc: Vec::new(),
+                seen: Vec::new(),
+            },
+            KeyKind::Str if fold != Fold::Sum => AggColumn::Str {
+                want_max: fold == Fold::Max,
+                best: Vec::new(),
+            },
+            // SUM over strings lands here too and fails at its first batch.
+            _ => AggColumn::I64 {
+                fold,
+                acc: Vec::new(),
+                seen: Vec::new(),
+            },
         }
-    })
+    }
+
+    /// Extend every array to `n_groups` groups, new ones at their start
+    /// state.
+    fn grow(&mut self, n_groups: usize) {
+        match self {
+            AggColumn::Count(counts) | AggColumn::Distinct { counts, .. } => {
+                counts.resize(n_groups, 0)
+            }
+            AggColumn::I64 { acc, seen, .. } => {
+                acc.resize(n_groups, 0);
+                seen.resize(n_groups, false);
+            }
+            AggColumn::F64 { acc, seen, .. } => {
+                acc.resize(n_groups, 0.0);
+                seen.resize(n_groups, false);
+            }
+            AggColumn::Str { best, .. } => best.resize(n_groups, None),
+            AggColumn::Avg { sums, counts, .. } => {
+                sums.resize(n_groups, 0.0);
+                counts.resize(n_groups, 0);
+            }
+        }
+    }
+
+    /// Heap bytes of the state arrays.
+    fn approx_bytes(&self) -> usize {
+        match self {
+            AggColumn::Count(counts) => counts.len() * 8,
+            AggColumn::Distinct { pairs, counts } => pairs.approx_bytes() + counts.len() * 8,
+            AggColumn::I64 { seen, .. } | AggColumn::F64 { seen, .. } => seen.len() * 9,
+            // The strings themselves are shared with the input's.
+            AggColumn::Str { best, .. } => best.len() * 16,
+            AggColumn::Avg { sums, .. } => sums.len() * 16,
+        }
+    }
+
+    /// Fold one batch in. `gids` holds each row's group; `None` puts every
+    /// row in group 0 (scalar aggregation). `arg` is the evaluated
+    /// argument, absent for `COUNT(*)`.
+    fn update(
+        &mut self,
+        gids: Option<&[u32]>,
+        arg: Option<&Vector>,
+        n: usize,
+        scratch: &mut Vec<u32>,
+    ) -> Result<()> {
+        if let AggColumn::Distinct { pairs, counts } = self {
+            let arg = arg.ok_or_else(|| Error::Plan("COUNT(DISTINCT) without argument".into()))?;
+            let groups = Vector::I64 {
+                values: match gids {
+                    Some(gids) => gids.iter().map(|&g| g as i64).collect(),
+                    None => vec![0; n],
+                },
+                nulls: None,
+            };
+            // Entries are numbered in order of first appearance, so a row
+            // is the first of its pair exactly when its entry is the next
+            // unused number. NULL arguments get no entry.
+            let mut next_new = pairs.len() as u32;
+            pairs.insert_non_null(&[&groups, arg], scratch)?;
+            for (i, &pair) in scratch.iter().enumerate() {
+                if pair == next_new {
+                    counts[gids.map_or(0, |g| g[i] as usize)] += 1;
+                    next_new += 1;
+                }
+            }
+            return Ok(());
+        }
+        match gids {
+            Some(gids) => self.update_typed(|i| gids[i] as usize, arg, n),
+            None => self.update_typed(|_| 0, arg, n),
+        }
+    }
+
+    /// The per-function loops, compiled once for grouped input and once
+    /// for the single group, where each reduces its column directly.
+    fn update_typed(
+        &mut self,
+        group: impl Fn(usize) -> usize,
+        arg: Option<&Vector>,
+        n: usize,
+    ) -> Result<()> {
+        match (self, arg) {
+            // COUNT(*) counts rows; COUNT(expr) counts non-null values.
+            (AggColumn::Count(counts), arg) => {
+                for_each_valid(arg.and_then(Vector::nulls), n, |i| counts[group(i)] += 1)
+            }
+            (AggColumn::I64 { fold, acc, seen }, Some(Vector::I64 { values, nulls })) => {
+                let nulls = nulls.as_ref();
+                match fold {
+                    Fold::Sum => {
+                        // Any prefix that overflows is an error, noted in
+                        // a flag so the loop itself stays branch-free.
+                        let mut overflow = false;
+                        for_each_valid(nulls, n, |i| {
+                            let g = group(i);
+                            let (sum, o) = acc[g].overflowing_add(values[i]);
+                            acc[g] = sum;
+                            overflow |= o;
+                            seen[g] = true;
+                        });
+                        if overflow {
+                            return Err(Error::Execution("SUM overflow".into()));
+                        }
+                    }
+                    Fold::Min | Fold::Max => {
+                        let want_max = *fold == Fold::Max;
+                        for_each_valid(nulls, n, |i| {
+                            let (g, x) = (group(i), values[i]);
+                            if !seen[g] || (if want_max { x > acc[g] } else { x < acc[g] }) {
+                                acc[g] = x;
+                                seen[g] = true;
+                            }
+                        })
+                    }
+                }
+            }
+            (AggColumn::F64 { fold, acc, seen }, Some(Vector::F64 { values, nulls })) => {
+                let nulls = nulls.as_ref();
+                match fold {
+                    Fold::Sum => for_each_valid(nulls, n, |i| {
+                        let g = group(i);
+                        acc[g] += values[i];
+                        seen[g] = true;
+                    }),
+                    Fold::Min | Fold::Max => {
+                        let want_max = *fold == Fold::Max;
+                        for_each_valid(nulls, n, |i| {
+                            let (g, x) = (group(i), values[i]);
+                            let ord = x.total_cmp(&acc[g]);
+                            if !seen[g] || (if want_max { ord.is_gt() } else { ord.is_lt() }) {
+                                acc[g] = x;
+                                seen[g] = true;
+                            }
+                        })
+                    }
+                }
+            }
+            (AggColumn::Str { want_max, best }, Some(Vector::Str { strings, nulls })) => {
+                for_each_valid(nulls.as_ref(), n, |i| {
+                    let (slot, s) = (&mut best[group(i)], strings.get(i));
+                    let better = slot.as_ref().is_none_or(|b| {
+                        if *want_max {
+                            s.as_ref() > b.as_ref()
+                        } else {
+                            s.as_ref() < b.as_ref()
+                        }
+                    });
+                    if better {
+                        *slot = Some(s.clone());
+                    }
+                })
+            }
+            (AggColumn::Avg { sums, counts, .. }, Some(Vector::I64 { values, nulls })) => {
+                for_each_valid(nulls.as_ref(), n, |i| {
+                    let g = group(i);
+                    sums[g] += values[i] as f64;
+                    counts[g] += 1;
+                })
+            }
+            (AggColumn::Avg { sums, counts, .. }, Some(Vector::F64 { values, nulls })) => {
+                for_each_valid(nulls.as_ref(), n, |i| {
+                    let g = group(i);
+                    sums[g] += values[i];
+                    counts[g] += 1;
+                })
+            }
+            _ => {
+                return Err(Error::Type(
+                    "aggregate argument is not of the type the aggregate was planned for".into(),
+                ))
+            }
+        }
+        Ok(())
+    }
+
+    /// The results of groups `entries`, in that order.
+    fn finish(&self, entries: &[u32]) -> Vector {
+        match self {
+            AggColumn::Count(counts) | AggColumn::Distinct { counts, .. } => Vector::I64 {
+                values: gathered(counts, entries),
+                nulls: None,
+            },
+            AggColumn::I64 { acc, seen, .. } => Vector::I64 {
+                values: gathered(acc, entries),
+                nulls: null_bitmap(entries.len(), |i| !seen[entries[i] as usize]),
+            },
+            AggColumn::F64 { acc, seen, .. } => Vector::F64 {
+                values: gathered(acc, entries),
+                nulls: null_bitmap(entries.len(), |i| !seen[entries[i] as usize]),
+            },
+            AggColumn::Str { best, .. } => {
+                let empty: Arc<str> = Arc::from("");
+                Vector::Str {
+                    strings: StrVector::Owned(
+                        entries
+                            .iter()
+                            .map(|&g| best[g as usize].as_ref().unwrap_or(&empty).clone())
+                            .collect(),
+                    ),
+                    nulls: null_bitmap(entries.len(), |i| best[entries[i] as usize].is_none()),
+                }
+            }
+            AggColumn::Avg {
+                sums,
+                counts,
+                divisor,
+            } => Vector::F64 {
+                values: entries
+                    .iter()
+                    .map(|&g| sums[g as usize] / counts[g as usize] as f64 / divisor)
+                    .collect(),
+                nulls: null_bitmap(entries.len(), |i| counts[entries[i] as usize] == 0),
+            },
+        }
+    }
 }
 
 /// Hash aggregation operator. With no group-by expressions it produces a
@@ -361,7 +415,17 @@ pub struct HashAggOp {
     ctx: ExecContext,
     output_types: Vec<DataType>,
     agg_arg_types: Vec<DataType>,
+    /// Bytes of key table and state arrays reserved against the ledger.
+    reserved: usize,
     result: Option<std::vec::IntoIter<Batch>>,
+}
+
+/// Evaluate `expr`, borrowing the batch's own vector for a bare column.
+fn eval_cow<'a>(expr: &Expr, batch: &'a Batch) -> Result<Cow<'a, Vector>> {
+    match expr {
+        Expr::Col(i) => Ok(Cow::Borrowed(batch.column(*i))),
+        _ => expr.eval(batch).map(Cow::Owned),
+    }
 }
 
 impl HashAggOp {
@@ -391,35 +455,17 @@ impl HashAggOp {
             ctx,
             output_types,
             agg_arg_types,
+            reserved: 0,
             result: None,
         })
     }
 
-    fn fresh_states(&self) -> Vec<AggState> {
-        self.aggs
-            .iter()
-            .zip(&self.agg_arg_types)
-            .map(|(a, &ty)| AggState::new(a.func, ty))
-            .collect()
-    }
-
-    /// Update one group's states from row `i` of the evaluated argument
-    /// vectors, through the typed fast paths where possible.
-    #[inline]
-    fn update_states(
-        states: &mut [AggState],
-        arg_vecs: &[Option<Vector>],
-        arg_types: &[DataType],
-        i: usize,
-    ) -> Result<()> {
-        for ((state, arg), &ty) in states.iter_mut().zip(arg_vecs).zip(arg_types) {
-            match arg {
-                None => state.update(None)?,
-                Some(v) if v.is_null(i) => {} // NULL arguments never update
-                Some(Vector::I64 { values, .. }) => state.update_i64(ty, values[i])?,
-                Some(Vector::F64 { values, .. }) => state.update_f64(values[i])?,
-                Some(v) => state.update(Some(&v.value_at(i, ty)))?,
-            }
+    /// Bring the ledger reservation up to `footprint` bytes. There is no
+    /// spill path yet, so exhaustion fails the query cleanly.
+    fn charge(&mut self, footprint: usize) -> Result<()> {
+        if footprint > self.reserved {
+            self.ctx.reserve_memory(footprint - self.reserved)?;
+            self.reserved = footprint;
         }
         Ok(())
     }
@@ -429,153 +475,75 @@ impl HashAggOp {
             .input
             .take()
             .ok_or_else(|| Error::Execution("aggregate executed twice".into()))?;
-        let key_types: Vec<DataType> = self.output_types[..self.group_by.len()].to_vec();
-        // Single integer-backed group key: hash on raw i64 (no Value, no
-        // per-row key allocation). NULL keys get their own group.
-        let fast_key = self.group_by.len() == 1 && key_types[0].is_integer_backed();
-        let mut fast_map: FxHashMap<i64, u32> = FxHashMap::default();
-        let mut fast_null_group: Option<u32> = None;
-        let mut fast_states: Vec<Vec<AggState>> = Vec::new();
-        let mut fast_keys: Vec<Value> = Vec::new();
-        // Generic path: composite / string keys. Keys hash through the
-        // vectorized path (dictionary-coded strings hash once per distinct
-        // code); per-row work is a hash lookup plus typed verification —
-        // `Value`s materialize only when a new group appears.
-        let mut hash_map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut group_keys: Vec<Vec<Value>> = Vec::new();
-        let mut group_states: Vec<Vec<AggState>> = Vec::new();
-        // Scalar aggregation starts with one implicit group.
-        if self.group_by.is_empty() {
-            group_keys.push(Vec::new());
-            group_states.push(self.fresh_states());
-        }
-        let mut hashes: Vec<u64> = Vec::new();
+        let n_keys = self.group_by.len();
+        // Scalar aggregation has no key table and one group from the start.
+        let mut table = (n_keys > 0).then(|| {
+            KeyTable::new(
+                self.output_types[..n_keys]
+                    .iter()
+                    .map(|&ty| KeyKind::of(ty))
+                    .collect(),
+            )
+        });
+        let mut n_groups = usize::from(table.is_none());
+        let mut states: Vec<AggColumn> = self
+            .aggs
+            .iter()
+            .zip(&self.agg_arg_types)
+            .map(|(a, &ty)| AggColumn::new(a.func, ty))
+            .collect();
+        states.iter_mut().for_each(|s| s.grow(n_groups));
+        let (mut gids, mut scratch) = (Vec::new(), Vec::new());
         while let Some(batch) = input.next()? {
             let batch = batch.compact();
             let n = batch.n_rows();
             if n == 0 {
                 continue;
             }
-            let key_vecs = self
-                .group_by
-                .iter()
-                .map(|g| g.eval(&batch))
-                .collect::<Result<Vec<_>>>()?;
-            let arg_vecs = self
-                .aggs
-                .iter()
-                .map(|a| match &a.arg {
-                    Some(e) => e.eval(&batch).map(Some),
-                    None => Ok(None),
-                })
-                .collect::<Result<Vec<_>>>()?;
-            if fast_key {
-                let key_vec = &key_vecs[0];
-                let Vector::I64 {
-                    values: keys,
-                    nulls,
-                } = key_vec
-                else {
-                    return Err(Error::Type("integer group key expected".into()));
-                };
-                #[allow(clippy::needless_range_loop)]
-                for i in 0..n {
-                    let gi = if nulls.as_ref().is_some_and(|nu| nu.get(i)) {
-                        *fast_null_group.get_or_insert_with(|| {
-                            fast_states.push(Vec::new());
-                            fast_keys.push(Value::Null);
-                            (fast_states.len() - 1) as u32
-                        })
-                    } else {
-                        match fast_map.get(&keys[i]) {
-                            Some(&g) => g,
-                            None => {
-                                let g = fast_states.len() as u32;
-                                fast_map.insert(keys[i], g);
-                                fast_states.push(Vec::new());
-                                fast_keys.push(Value::from_i64(key_types[0], keys[i]));
-                                g
-                            }
-                        }
-                    } as usize;
-                    if fast_states[gi].is_empty() {
-                        fast_states[gi] = self.fresh_states();
-                    }
-                    let (aggs_types, states) = (&self.agg_arg_types, &mut fast_states[gi]);
-                    Self::update_states(states, &arg_vecs, aggs_types, i)?;
-                }
-            } else if self.group_by.is_empty() {
-                for i in 0..n {
-                    Self::update_states(&mut group_states[0], &arg_vecs, &self.agg_arg_types, i)?;
-                }
-            } else {
-                hashes.clear();
-                hashes.resize(n, 0);
-                for kv in &key_vecs {
-                    kv.hash_into(&mut hashes);
-                }
-                #[allow(clippy::needless_range_loop)]
-                for i in 0..n {
-                    let h = hashes[i];
-                    let found = hash_map.get(&h).and_then(|cands| {
-                        cands
-                            .iter()
-                            .copied()
-                            .find(|&g| keys_equal(&group_keys[g as usize], &key_vecs, i))
-                    });
-                    let gi = match found {
-                        Some(g) => g as usize,
-                        None => {
-                            let key: Vec<Value> = key_vecs
-                                .iter()
-                                .zip(&key_types)
-                                .map(|(v, &ty)| v.value_at(i, ty))
-                                .collect();
-                            let g = group_keys.len() as u32;
-                            group_keys.push(key);
-                            group_states.push(self.fresh_states());
-                            hash_map.entry(h).or_default().push(g);
-                            g as usize
-                        }
-                    };
-                    Self::update_states(&mut group_states[gi], &arg_vecs, &self.agg_arg_types, i)?;
+            if let Some(table) = &mut table {
+                let keys = self
+                    .group_by
+                    .iter()
+                    .map(|g| eval_cow(g, &batch))
+                    .collect::<Result<Vec<_>>>()?;
+                let keys: Vec<&Vector> = keys.iter().map(Cow::as_ref).collect();
+                table.group_ids(&keys, &mut gids)?;
+                if table.len() > n_groups {
+                    n_groups = table.len();
+                    states.iter_mut().for_each(|s| s.grow(n_groups));
                 }
             }
+            let gids = table.is_some().then_some(gids.as_slice());
+            for (state, agg) in states.iter_mut().zip(&self.aggs) {
+                let arg = agg.arg.as_ref().map(|e| eval_cow(e, &batch)).transpose()?;
+                state.update(gids, arg.as_deref(), n, &mut scratch)?;
+            }
+            self.charge(
+                table.as_ref().map_or(0, KeyTable::approx_bytes)
+                    + states.iter().map(AggColumn::approx_bytes).sum::<usize>(),
+            )?;
         }
-        // Materialize result rows.
-        let n_keys = self.group_by.len();
-        let mut rows: Vec<Row> = Vec::new();
-        if fast_key {
-            rows.reserve(fast_states.len());
-            for (key, states) in fast_keys.into_iter().zip(fast_states) {
-                let states = if states.is_empty() {
-                    self.fresh_states()
-                } else {
-                    states
-                };
-                let mut values = vec![key];
-                for (state, &ty) in states.into_iter().zip(&self.output_types[n_keys..]) {
-                    values.push(state.finish(ty));
-                }
-                rows.push(Row::new(values));
-            }
-        } else {
-            rows.reserve(group_keys.len());
-            for (key, states) in group_keys.into_iter().zip(group_states) {
-                let mut values = key;
-                for (state, &ty) in states.into_iter().zip(&self.output_types[n_keys..]) {
-                    values.push(state.finish(ty));
-                }
-                rows.push(Row::new(values));
-            }
-        }
-        // Deterministic output order helps tests and result display.
-        rows.sort();
+        // Groups leave in ascending key order: deterministic output helps
+        // tests and result display.
+        let order = table.as_ref().map_or(vec![0], KeyTable::sorted_entries);
         let mut batches = Vec::new();
-        for chunk in rows.chunks(self.ctx.batch_size) {
-            batches.push(Batch::from_rows(&self.output_types, chunk)?);
+        for entries in order.chunks(self.ctx.batch_size) {
+            let mut columns = Vec::with_capacity(self.output_types.len());
+            if let Some(table) = &table {
+                columns.extend((0..n_keys).map(|c| table.key_column(c, entries)));
+            }
+            columns.extend(states.iter().map(|s| s.finish(entries)));
+            batches.push(Batch::new(self.output_types.clone(), columns));
         }
+        self.ctx.release_memory(std::mem::take(&mut self.reserved));
         Ok(batches)
+    }
+}
+
+impl Drop for HashAggOp {
+    fn drop(&mut self) {
+        // An aggregation that failed midway still holds its reservation.
+        self.ctx.release_memory(self.reserved);
     }
 }
 
@@ -598,6 +566,7 @@ mod tests {
     use super::*;
     use crate::ops::collect_rows;
     use crate::ops::scan::BatchSource;
+    use cstore_common::{Row, Value};
 
     fn source() -> BoxedBatchOp {
         // (cat, amount): cats a/b/c, amount i, NULL amount when i % 5 == 0.
@@ -707,6 +676,130 @@ mod tests {
         assert_eq!(out.len(), 2);
         let null_group = out.iter().find(|r| r.get(0).is_null()).unwrap();
         assert_eq!(null_group.get(1), &Value::Int64(3));
+    }
+
+    /// (g, v, s): g = i % 2 (NULL every 9th row), v = i % 3 (NULL every
+    /// 7th row), s from three strings (NULL every 5th row).
+    fn mixed_rows() -> Vec<Row> {
+        (0..60i64)
+            .map(|i| {
+                let or_null = |every: i64, v: Value| if i % every == 0 { Value::Null } else { v };
+                Row::new(vec![
+                    or_null(9, Value::Int64(i % 2)),
+                    or_null(7, Value::Int64(i % 3)),
+                    or_null(5, Value::str(["pear", "fig", "kiwi"][(i % 3) as usize])),
+                ])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn distinct_counts_and_string_extremes_grouped_and_scalar() {
+        let rows = mixed_rows();
+        let types = vec![DataType::Int64, DataType::Int64, DataType::Utf8];
+        let run = |group_by: Vec<Expr>| {
+            let src = Box::new(BatchSource::from_rows(types.clone(), &rows, 11).unwrap());
+            let aggs = vec![
+                AggExpr::new(AggFunc::CountDistinct, Expr::col(1)),
+                AggExpr::new(AggFunc::CountDistinct, Expr::col(2)),
+                AggExpr::new(AggFunc::Min, Expr::col(2)),
+                AggExpr::new(AggFunc::Max, Expr::col(2)),
+            ];
+            let agg = HashAggOp::new(src, group_by, aggs, ExecContext::default()).unwrap();
+            collect_rows(Box::new(agg)).unwrap()
+        };
+        // What a row-at-a-time pass over the rows of one group says.
+        let expect = |in_group: &dyn Fn(&Row) -> bool| -> Vec<Value> {
+            let of = |col: usize| -> Vec<&Value> {
+                let mut vals: Vec<&Value> = rows
+                    .iter()
+                    .filter(|r| in_group(r) && !r.get(col).is_null())
+                    .map(|r| r.get(col))
+                    .collect();
+                vals.sort();
+                vals.dedup();
+                vals
+            };
+            let (v, s) = (of(1), of(2));
+            vec![
+                Value::Int64(v.len() as i64),
+                Value::Int64(s.len() as i64),
+                s.first().map_or(Value::Null, |x| (*x).clone()),
+                s.last().map_or(Value::Null, |x| (*x).clone()),
+            ]
+        };
+        let scalar = run(vec![]);
+        assert_eq!(scalar.len(), 1);
+        assert_eq!(scalar[0].values(), expect(&|_| true));
+        let grouped = run(vec![Expr::col(0)]);
+        // NULL group first, then 0, then 1.
+        let keys: Vec<Value> = vec![Value::Null, Value::Int64(0), Value::Int64(1)];
+        assert_eq!(grouped.len(), keys.len());
+        for (row, key) in grouped.iter().zip(&keys) {
+            assert_eq!(row.get(0), key);
+            assert_eq!(&row.values()[1..], expect(&|r| r.get(0) == key), "{key:?}");
+        }
+    }
+
+    #[test]
+    fn composite_keys_leave_in_ascending_order() {
+        let src = Box::new(
+            BatchSource::from_rows(
+                vec![DataType::Int64, DataType::Int64, DataType::Utf8],
+                &mixed_rows(),
+                13,
+            )
+            .unwrap(),
+        );
+        let agg = HashAggOp::new(
+            src,
+            vec![Expr::col(2), Expr::col(0)],
+            vec![AggExpr::count_star()],
+            ExecContext::default(),
+        )
+        .unwrap();
+        let out = collect_rows(Box::new(agg)).unwrap();
+        let mut sorted = out.clone();
+        sorted.sort();
+        assert_eq!(out, sorted);
+        assert!(out[0].get(0).is_null() && out[0].get(1).is_null());
+        let total: i64 = out.iter().map(|r| r.get(2).as_i64().unwrap()).sum();
+        assert_eq!(total, 60);
+    }
+
+    #[test]
+    fn state_is_charged_to_the_ledger_and_returned() {
+        use cstore_common::governor::MemoryLedger;
+        let rows: Vec<Row> = (0..5000).map(|i| Row::new(vec![Value::Int64(i)])).collect();
+        let run = |limit: u64| {
+            let ledger = std::sync::Arc::new(MemoryLedger::default());
+            ledger.set_limit(limit);
+            let ctx = ExecContext::default()
+                .with_ledger(std::sync::Arc::clone(&ledger))
+                .for_query();
+            let src = Box::new(BatchSource::from_rows(vec![DataType::Int64], &rows, 900).unwrap());
+            let mut agg = HashAggOp::new(
+                src,
+                vec![Expr::col(0)],
+                vec![AggExpr::count_star()],
+                ctx.clone(),
+            )
+            .unwrap();
+            let first = agg.next().map(|b| b.map(|b| b.n_rows()));
+            // Finished or failed, nothing stays reserved — checked while
+            // the query's context is still alive.
+            let reserved_after = ledger.reserved();
+            drop(agg);
+            (first, reserved_after, ledger.reserved())
+        };
+        let (first, after, dropped) = run(1 << 30);
+        assert_eq!(first.unwrap(), Some(900));
+        assert_eq!((after, dropped), (0, 0));
+        // 5000 keys of two words, hashes, chains, buckets and counts are
+        // well past 32 KiB.
+        let (first, _, dropped) = run(32 << 10);
+        assert_eq!(first.unwrap_err().code(), "RESOURCE_EXHAUSTED");
+        assert_eq!(dropped, 0, "failed aggregation leaked ledger bytes");
     }
 
     #[test]

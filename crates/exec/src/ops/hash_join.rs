@@ -12,18 +12,25 @@
 //!   partitions join independently (Grace hash join); performance degrades
 //!   smoothly instead of falling back to row mode as in 2012.
 //!
+//! The build side stays columnar: its batches are appended to one typed
+//! vector per column, its distinct keys go into the packed-key table
+//! ([`crate::keytable`]) and its rows hang off their key in a chain of row
+//! numbers. A probe batch resolves to key entries in one call and walks
+//! the chains. `Row`s exist only on the spill path.
+//!
 //! NULL join keys never match (SQL semantics); outer and anti joins still
 //! emit the corresponding unmatched rows.
 
-use cstore_common::{Bitmap, DataType, Error, FxHashMap, Result, Row, Value};
+use cstore_common::{Bitmap, DataType, Error, Result, Row, Value};
 
 use crate::batch::Batch;
 use crate::bloom::BitmapFilter;
+use crate::keytable::{KeyKind, KeyTable, StrInterner, NO_KEY};
 use crate::ops::scan::FilterSlot;
 use crate::ops::{BatchOperator, BoxedBatchOp};
 use crate::runtime::{check_deadline, ExecContext};
 use crate::spill::{SpillFile, SpillReader};
-use crate::vector::{hash_values, Vector};
+use crate::vector::{hash_values, StrVector, Vector};
 
 /// Join variants supported in batch mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,316 +60,285 @@ impl JoinType {
 /// Number of spill partitions.
 const SPILL_PARTITIONS: usize = 16;
 
-/// One build-side column, stored typed so join output gathers raw values
-/// (dictionary codes for strings) instead of cloning `Value`s per row.
-enum BuildCol {
-    I64 {
-        values: Vec<i64>,
-        nulls: Option<Bitmap>,
-    },
-    F64 {
-        values: Vec<f64>,
-        nulls: Option<Bitmap>,
-    },
+/// "No build row": ends a chain of build rows, and stands in
+/// `BuildTable::build_idx` for the NULL extension of an unmatched probe
+/// row ([`Vector::gather_or_null`] reads any index past the end as NULL).
+const NO_ROW: u32 = u32::MAX;
+
+/// One build-side column while batches are still arriving.
+struct BuildCol {
+    data: BuildData,
+    /// One bit per row appended so far.
+    nulls: Bitmap,
+}
+
+enum BuildData {
+    I64(Vec<i64>),
+    F64(Vec<f64>),
+    /// Strings of every incoming dictionary, and owned strings, re-coded
+    /// against one interner so the finished column is dictionary-coded:
+    /// join output gathers 4-byte codes and downstream group-bys hash per
+    /// distinct code.
     Str {
-        codes: Vec<u32>,
-        dict: std::sync::Arc<cstore_storage::encode::Dictionary>,
-        nulls: Option<Bitmap>,
+        ids: Vec<u32>,
+        interner: StrInterner,
     },
 }
 
 impl BuildCol {
-    fn build(rows: &[Row], col: usize, ty: DataType) -> Result<BuildCol> {
-        let n = rows.len();
-        let mut nulls: Option<Bitmap> = None;
-        let mark = |i: usize, nulls: &mut Option<Bitmap>| {
-            nulls.get_or_insert_with(|| Bitmap::zeros(n)).set(i);
-        };
-        Ok(match ty {
-            DataType::Utf8 => {
-                // Dictionary-encode once; output gathers 4-byte codes and
-                // downstream group-bys hash per distinct code.
-                let dict = std::sync::Arc::new(cstore_storage::encode::Dictionary::build_str(
-                    rows.iter().filter_map(|r| r.get(col).as_str()),
-                ));
-                let mut codes = Vec::with_capacity(n);
-                for (i, r) in rows.iter().enumerate() {
-                    match r.get(col) {
-                        Value::Null => {
-                            mark(i, &mut nulls);
-                            codes.push(0);
-                        }
-                        v => codes.push(dict.code_of(v).ok_or_else(|| {
-                            Error::Type(format!("non-string in VARCHAR column: {v:?}"))
-                        })?),
-                    }
-                }
-                BuildCol::Str { codes, dict, nulls }
-            }
-            DataType::Float64 => {
-                let mut values = Vec::with_capacity(n);
-                for (i, r) in rows.iter().enumerate() {
-                    match r.get(col) {
-                        Value::Null => {
-                            mark(i, &mut nulls);
-                            values.push(0.0);
-                        }
-                        v => values.push(v.as_f64().ok_or_else(|| {
-                            Error::Type(format!("non-float in DOUBLE column: {v:?}"))
-                        })?),
-                    }
-                }
-                BuildCol::F64 { values, nulls }
-            }
-            _ => {
-                let mut values = Vec::with_capacity(n);
-                for (i, r) in rows.iter().enumerate() {
-                    match r.get(col) {
-                        Value::Null => {
-                            mark(i, &mut nulls);
-                            values.push(0);
-                        }
-                        v => values.push(v.as_i64().ok_or_else(|| {
-                            Error::Type(format!("non-integer in {ty} column: {v:?}"))
-                        })?),
-                    }
-                }
-                BuildCol::I64 { values, nulls }
-            }
-        })
+    fn new(ty: DataType) -> BuildCol {
+        BuildCol {
+            data: match KeyKind::of(ty) {
+                KeyKind::I64 => BuildData::I64(Vec::new()),
+                KeyKind::F64 => BuildData::F64(Vec::new()),
+                KeyKind::Str => BuildData::Str {
+                    ids: Vec::new(),
+                    interner: StrInterner::default(),
+                },
+            },
+            nulls: Bitmap::new(),
+        }
     }
 
-    /// Gather `idx` (None = outer-join null extension) into a Vector.
-    fn gather(&self, idx: &[Option<u32>]) -> Vector {
-        let n = idx.len();
-        let mut out_nulls: Option<Bitmap> = None;
-        let mark = |i: usize, nulls: &mut Option<Bitmap>| {
-            nulls.get_or_insert_with(|| Bitmap::zeros(n)).set(i);
-        };
-        match self {
-            BuildCol::I64 { values, nulls } => {
-                let mut out = Vec::with_capacity(n);
-                for (i, bi) in idx.iter().enumerate() {
-                    match bi {
-                        Some(bi) => {
-                            let bi = *bi as usize;
-                            if nulls.as_ref().is_some_and(|x| x.get(bi)) {
-                                mark(i, &mut out_nulls);
-                            }
-                            out.push(values[bi]);
-                        }
-                        None => {
-                            mark(i, &mut out_nulls);
-                            out.push(0);
-                        }
-                    }
-                }
-                Vector::I64 {
-                    values: out,
-                    nulls: out_nulls,
-                }
+    fn append(&mut self, v: &Vector) -> Result<()> {
+        let base = self.nulls.len();
+        match (&mut self.data, v) {
+            (BuildData::I64(out), Vector::I64 { values, .. }) => out.extend_from_slice(values),
+            (BuildData::F64(out), Vector::F64 { values, .. }) => out.extend_from_slice(values),
+            (BuildData::Str { ids, interner }, Vector::Str { strings, nulls }) => {
+                ids.resize(base + v.len(), 0);
+                interner.resolve(strings, nulls.as_ref(), true, |i, id| ids[base + i] = id);
             }
-            BuildCol::F64 { values, nulls } => {
-                let mut out = Vec::with_capacity(n);
-                for (i, bi) in idx.iter().enumerate() {
-                    match bi {
-                        Some(bi) => {
-                            let bi = *bi as usize;
-                            if nulls.as_ref().is_some_and(|x| x.get(bi)) {
-                                mark(i, &mut out_nulls);
-                            }
-                            out.push(values[bi]);
-                        }
-                        None => {
-                            mark(i, &mut out_nulls);
-                            out.push(0.0);
-                        }
-                    }
-                }
-                Vector::F64 {
-                    values: out,
-                    nulls: out_nulls,
-                }
+            _ => {
+                return Err(Error::Type(
+                    "build column is not the vector its type promises".into(),
+                ))
             }
-            BuildCol::Str { codes, dict, nulls } => {
-                let mut out = Vec::with_capacity(n);
-                for (i, bi) in idx.iter().enumerate() {
-                    match bi {
-                        Some(bi) => {
-                            let bi = *bi as usize;
-                            if nulls.as_ref().is_some_and(|x| x.get(bi)) {
-                                mark(i, &mut out_nulls);
-                            }
-                            out.push(codes[bi]);
-                        }
-                        None => {
-                            mark(i, &mut out_nulls);
-                            out.push(0);
-                        }
-                    }
+        }
+        self.nulls.grow(base + v.len());
+        if let Some(nulls) = v.nulls() {
+            for i in nulls.iter_ones() {
+                self.nulls.set(base + i);
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Vector {
+        let nulls = self.nulls.any().then_some(self.nulls);
+        match self.data {
+            BuildData::I64(values) => Vector::I64 { values, nulls },
+            BuildData::F64(values) => Vector::F64 { values, nulls },
+            BuildData::Str { mut ids, interner } => {
+                let (dict, code_of) = interner.into_dictionary();
+                for id in &mut ids {
+                    // NULL rows carry id 0, which an all-NULL column never
+                    // interned.
+                    *id = code_of.get(*id as usize).copied().unwrap_or(0);
                 }
                 Vector::Str {
-                    strings: crate::vector::StrVector::Dict {
-                        codes: out,
-                        dict: dict.clone(),
-                    },
-                    nulls: out_nulls,
+                    strings: StrVector::Dict { codes: ids, dict },
+                    nulls,
                 }
             }
         }
     }
 }
 
-/// The in-memory build-side hash table.
-struct BuildTable {
-    rows: Vec<Row>,
-    keys: Vec<usize>,
-    /// hash → indices into `rows`.
-    table: FxHashMap<u64, Vec<u32>>,
-    /// Build rows that matched at least one probe row (outer joins).
-    matched: Bitmap,
-    /// Typed fast path: the single integer-backed key per row (0 at NULL
-    /// positions, which are never in `table`). Key verification compares
-    /// these `i64`s directly instead of materializing `Value`s.
-    fast_keys: Option<Vec<i64>>,
-    /// Typed column images for output gathering.
+/// The build side while its input is still being drained.
+struct BuildSide {
     cols: Vec<BuildCol>,
+    key_cols: Vec<usize>,
+    keys: KeyTable,
+    /// Key-table entry of each row's key; [`NO_KEY`] where it holds a NULL.
+    row_key: Vec<u32>,
+    scratch: Vec<u32>,
+}
+
+impl BuildSide {
+    fn new(types: &[DataType], key_cols: &[usize]) -> BuildSide {
+        BuildSide {
+            cols: types.iter().map(|&ty| BuildCol::new(ty)).collect(),
+            key_cols: key_cols.to_vec(),
+            keys: KeyTable::new(key_cols.iter().map(|&k| KeyKind::of(types[k])).collect()),
+            row_key: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Append one dense batch.
+    fn push(&mut self, batch: &Batch) -> Result<()> {
+        for (col, v) in self.cols.iter_mut().zip(batch.columns()) {
+            col.append(v)?;
+        }
+        let keys: Vec<&Vector> = self.key_cols.iter().map(|&k| batch.column(k)).collect();
+        self.keys.insert_non_null(&keys, &mut self.scratch)?;
+        self.row_key.extend_from_slice(&self.scratch);
+        Ok(())
+    }
+
+    /// Everything appended so far as rows, for the spill files.
+    fn into_rows(self, types: &[DataType]) -> Vec<Row> {
+        let columns = self.cols.into_iter().map(BuildCol::finish).collect();
+        Batch::new(types.to_vec(), columns).to_rows()
+    }
+
+    fn finish(self) -> BuildTable {
+        // Walking the rows backwards leaves every chain in ascending row
+        // order, so duplicates of a key match in build order.
+        let mut first_row = vec![NO_ROW; self.keys.len()];
+        let mut next_row = vec![NO_ROW; self.row_key.len()];
+        for (row, &key) in self.row_key.iter().enumerate().rev() {
+            if key != NO_KEY {
+                next_row[row] = first_row[key as usize];
+                first_row[key as usize] = row as u32;
+            }
+        }
+        BuildTable {
+            cols: self.cols.into_iter().map(BuildCol::finish).collect(),
+            key_matched: Bitmap::zeros(self.keys.len()),
+            keys: self.keys,
+            row_key: self.row_key,
+            first_row,
+            next_row,
+            unmatched_cursor: 0,
+            ids: self.scratch,
+            probe_idx: Vec::new(),
+            build_idx: Vec::new(),
+        }
+    }
+}
+
+/// The finished in-memory build side, and the matches of the batch being
+/// probed against it.
+struct BuildTable {
+    /// The build rows, one concatenated vector per column.
+    cols: Vec<Vector>,
+    /// The distinct non-NULL build keys.
+    keys: KeyTable,
+    row_key: Vec<u32>,
+    /// First build row of each key, and the next row with the same key.
+    first_row: Vec<u32>,
+    next_row: Vec<u32>,
+    /// Keys that matched at least one probe row (right/full outer tail).
+    key_matched: Bitmap,
+    /// Cursor into the build rows of the unmatched-build tail.
+    unmatched_cursor: usize,
+    ids: Vec<u32>,
+    /// Output rows of the current probe batch: the probe row and, except
+    /// for semi/anti joins, the build row ([`NO_ROW`] = NULL extension).
+    probe_idx: Vec<u32>,
+    build_idx: Vec<u32>,
 }
 
 impl BuildTable {
-    fn build(rows: Vec<Row>, keys: &[usize], types: &[DataType]) -> Result<BuildTable> {
-        let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        table.reserve(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            // NULL keys can never match; leave them out of the table.
-            if keys.iter().any(|&k| row.get(k).is_null()) {
-                continue;
-            }
-            let h = hash_values(keys.iter().map(|&k| row.get(k)));
-            table.entry(h).or_default().push(i as u32);
-        }
-        let matched = Bitmap::zeros(rows.len());
-        let fast_keys = (keys.len() == 1)
-            .then(|| {
-                rows.iter()
-                    .map(|row| match row.get(keys[0]) {
-                        Value::Null => Some(0),
-                        v => v.as_i64(),
-                    })
-                    .collect::<Option<Vec<i64>>>()
-            })
-            .flatten();
-        let cols = types
-            .iter()
-            .enumerate()
-            .map(|(c, &ty)| BuildCol::build(&rows, c, ty))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(BuildTable {
-            rows,
-            keys: keys.to_vec(),
-            table,
-            matched,
-            fast_keys,
-            cols,
-        })
-    }
-
-    /// The i64 key values for bitmap-filter construction (single
-    /// integer-backed key only).
-    fn filter_keys(&self) -> Option<Vec<i64>> {
-        if self.keys.len() != 1 {
+    /// The bitmap filter over the build keys (single integer-backed key
+    /// only).
+    fn bitmap_filter(&self, key_cols: &[usize]) -> Option<BitmapFilter> {
+        let [key_col] = key_cols else { return None };
+        let Vector::I64 { values, nulls } = self.cols.get(*key_col)? else {
             return None;
-        }
-        let k = self.keys[0];
-        let mut out = Vec::with_capacity(self.rows.len());
-        for row in &self.rows {
-            match row.get(k) {
-                Value::Null => {}
-                v => out.push(v.as_i64()?),
+        };
+        match nulls {
+            None => BitmapFilter::build(values),
+            Some(nulls) => {
+                let non_null = (0..values.len()).filter(|&i| !nulls.get(i));
+                BitmapFilter::build(&non_null.map(|i| values[i]).collect::<Vec<i64>>())
             }
         }
-        Some(out)
     }
-}
 
-/// Matches produced by probing one batch.
-#[derive(Default)]
-struct ProbeMatches {
-    probe_idx: Vec<u32>,
-    /// Parallel to `probe_idx`; `None` = outer-join null extension.
-    build_idx: Vec<Option<u32>>,
-}
-
-/// Probe one *compacted* batch against the build table.
-fn probe_batch(
-    build: &mut BuildTable,
-    batch: &Batch,
-    probe_keys: &[usize],
-    join_type: JoinType,
-) -> ProbeMatches {
-    let n = batch.n_rows();
-    let mut hashes = vec![0u64; n];
-    for &k in probe_keys {
-        batch.column(k).hash_into(&mut hashes);
-    }
-    // Typed fast path: single integer key on both sides — verification is
-    // a plain i64 compare instead of Value materialization.
-    let fast_probe: Option<&[i64]> = match (probe_keys, batch.column(probe_keys[0])) {
-        ([_], Vector::I64 { values, .. }) if build.fast_keys.is_some() => Some(values),
-        _ => None,
-    };
-    let mut out = ProbeMatches::default();
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..n {
-        let null_key = probe_keys.iter().any(|&k| batch.column(k).is_null(i));
-        let mut any_match = false;
-        if !null_key {
-            if let Some(candidates) = build.table.get(&hashes[i]) {
-                for &bi in candidates {
-                    let eq = match (fast_probe, &build.fast_keys) {
-                        (Some(pk), Some(bk)) => pk[i] == bk[bi as usize],
-                        _ => {
-                            let brow = &build.rows[bi as usize];
-                            probe_keys.iter().zip(&build.keys).all(|(&pk, &bk)| {
-                                batch
-                                    .column(pk)
-                                    .value_at(i, batch.data_type(pk))
-                                    .eq_storage(brow.get(bk))
-                            })
+    /// Join one *dense* probe batch.
+    fn join(
+        &mut self,
+        probe: Batch,
+        shape: &JoinShape,
+        ctx: &ExecContext,
+    ) -> Result<Option<Batch>> {
+        let keys: Vec<&Vector> = shape.probe_keys.iter().map(|&k| probe.column(k)).collect();
+        self.keys.find(&keys, &mut self.ids)?;
+        self.probe_idx.clear();
+        self.build_idx.clear();
+        match shape.join_type {
+            JoinType::LeftSemi | JoinType::LeftAnti => {
+                let want_match = shape.join_type == JoinType::LeftSemi;
+                for (i, &key) in self.ids.iter().enumerate() {
+                    if (key != NO_KEY) == want_match {
+                        self.probe_idx.push(i as u32);
+                    }
+                }
+            }
+            join_type => {
+                let track_matched = join_type.emits_unmatched_build();
+                for (i, &key) in self.ids.iter().enumerate() {
+                    if key == NO_KEY {
+                        if join_type.emits_unmatched_probe() {
+                            self.probe_idx.push(i as u32);
+                            self.build_idx.push(NO_ROW);
                         }
-                    };
-                    if eq {
-                        any_match = true;
-                        build.matched.set(bi as usize);
-                        match join_type {
-                            JoinType::LeftSemi => break,
-                            JoinType::LeftAnti => break,
-                            _ => {
-                                out.probe_idx.push(i as u32);
-                                out.build_idx.push(Some(bi));
-                            }
-                        }
+                        continue;
+                    }
+                    if track_matched {
+                        self.key_matched.set(key as usize);
+                    }
+                    let mut row = self.first_row[key as usize];
+                    while row != NO_ROW {
+                        self.probe_idx.push(i as u32);
+                        self.build_idx.push(row);
+                        row = self.next_row[row as usize];
                     }
                 }
             }
         }
-        match join_type {
-            JoinType::LeftSemi if any_match => {
-                out.probe_idx.push(i as u32);
-                out.build_idx.push(None);
-            }
-            JoinType::LeftAnti if !any_match => {
-                out.probe_idx.push(i as u32);
-                out.build_idx.push(None);
-            }
-            _ if !any_match && join_type.emits_unmatched_probe() => {
-                out.probe_idx.push(i as u32);
-                out.build_idx.push(None);
-            }
-            _ => {}
+        if self.probe_idx.is_empty() {
+            return Ok(None);
         }
+        // Every probe row out exactly once, in order (a foreign-key join):
+        // its columns pass through instead of being gathered.
+        let identity = self.probe_idx.len() == probe.n_rows()
+            && self
+                .probe_idx
+                .iter()
+                .enumerate()
+                .all(|(i, &p)| p as usize == i);
+        let mut columns: Vec<Vector> = if identity {
+            probe.into_columns()
+        } else {
+            let gather = |c: &Vector| c.gather(&self.probe_idx);
+            probe.columns().iter().map(gather).collect()
+        };
+        if !shape.join_type.probe_only_output() {
+            let gather = |c: &Vector| c.gather_or_null(&self.build_idx);
+            columns.extend(self.cols.iter().map(gather));
+        }
+        ctx.metrics.add(&ctx.metrics.batches, 1);
+        Ok(Some(Batch::new(shape.output_types.clone(), columns)))
     }
-    out
+
+    /// The next batch of build rows no probe row matched, NULL-extended
+    /// on the probe side (right/full outer joins).
+    fn unmatched_tail(&mut self, shape: &JoinShape, batch_size: usize) -> Result<Option<Batch>> {
+        if !shape.join_type.emits_unmatched_build() {
+            return Ok(None);
+        }
+        let mut idx = Vec::with_capacity(batch_size);
+        while self.unmatched_cursor < self.row_key.len() && idx.len() < batch_size {
+            let key = self.row_key[self.unmatched_cursor];
+            if key == NO_KEY || !self.key_matched.get(key as usize) {
+                idx.push(self.unmatched_cursor as u32);
+            }
+            self.unmatched_cursor += 1;
+        }
+        if idx.is_empty() {
+            return Ok(None);
+        }
+        let mut columns = Vec::with_capacity(shape.output_types.len());
+        for &ty in &shape.probe_types {
+            columns.push(Vector::constant(ty, &Value::Null, idx.len())?);
+        }
+        columns.extend(self.cols.iter().map(|c| c.gather(&idx)));
+        Ok(Some(Batch::new(shape.output_types.clone(), columns)))
+    }
 }
 
 enum JoinState {
@@ -371,8 +347,6 @@ enum JoinState {
     InMemory {
         build: BuildTable,
         probe_done: bool,
-        /// Cursor into unmatched build rows (right/full outer tail).
-        unmatched_cursor: usize,
     },
     /// Grace hash join over spilled partitions.
     Spilled {
@@ -385,24 +359,28 @@ enum JoinState {
 struct PartitionJoin {
     build: BuildTable,
     probe: SpillReader,
-    unmatched_cursor: usize,
     probe_done: bool,
     /// Ledger bytes reserved for this partition's build table; returned
     /// when the partition finishes.
     reserved: usize,
 }
 
+/// What the join computes, as opposed to how far it has got.
+struct JoinShape {
+    probe_keys: Vec<usize>,
+    build_keys: Vec<usize>,
+    join_type: JoinType,
+    probe_types: Vec<DataType>,
+    build_types: Vec<DataType>,
+    output_types: Vec<DataType>,
+}
+
 /// The batch-mode hash join operator.
 pub struct BatchHashJoin {
     probe_input: Option<BoxedBatchOp>,
     build_input: Option<BoxedBatchOp>,
-    probe_keys: Vec<usize>,
-    build_keys: Vec<usize>,
-    join_type: JoinType,
+    shape: JoinShape,
     ctx: ExecContext,
-    probe_types: Vec<DataType>,
-    build_types: Vec<DataType>,
-    output_types: Vec<DataType>,
     filter_slot: Option<FilterSlot>,
     state: JoinState,
 }
@@ -421,6 +399,18 @@ impl BatchHashJoin {
         }
         let probe_types = probe_input.output_types().to_vec();
         let build_types = build_input.output_types().to_vec();
+        for (&p, &b) in probe_keys.iter().zip(&build_keys) {
+            let (Some(&p), Some(&b)) = (probe_types.get(p), build_types.get(b)) else {
+                return Err(Error::Plan("hash join key column out of range".into()));
+            };
+            // Keys compare as packed words, which only means something
+            // between columns of one physical shape.
+            if KeyKind::of(p) != KeyKind::of(b) {
+                return Err(Error::Plan(format!(
+                    "hash join keys of types {p} and {b} cannot be compared"
+                )));
+            }
+        }
         let output_types = if join_type.probe_only_output() {
             probe_types.clone()
         } else {
@@ -431,13 +421,15 @@ impl BatchHashJoin {
         Ok(BatchHashJoin {
             probe_input: Some(probe_input),
             build_input: Some(build_input),
-            probe_keys,
-            build_keys,
-            join_type,
+            shape: JoinShape {
+                probe_keys,
+                build_keys,
+                join_type,
+                probe_types,
+                build_types,
+                output_types,
+            },
             ctx,
-            probe_types,
-            build_types,
-            output_types,
             filter_slot: None,
             state: JoinState::NotStarted,
         })
@@ -453,21 +445,20 @@ impl BatchHashJoin {
     // ------------------------------------------------------------- build
 
     fn start(&mut self) -> Result<()> {
+        let shape = &self.shape;
         let mut build_input = self
             .build_input
             .take()
             .ok_or_else(|| Error::Execution("join build side consumed twice".into()))?;
-        let mut rows: Vec<Row> = Vec::new();
+        let mut side = BuildSide::new(&shape.build_types, &shape.build_keys);
         let mut bytes = 0usize;
         let mut reserved = 0usize;
         let mut overflow = false;
         while let Some(batch) = build_input.next()? {
             check_deadline(self.ctx.deadline)?;
-            let mut batch_bytes = 0usize;
-            for row in batch.to_rows() {
-                batch_bytes += row.approx_bytes();
-                rows.push(row);
-            }
+            let batch = batch.compact();
+            let batch_bytes = batch.approx_bytes();
+            side.push(&batch)?;
             bytes += batch_bytes;
             // Reserve the increment against the shared ledger; exhaustion
             // is not an error here — it means "the machine is full, spill".
@@ -484,13 +475,11 @@ impl BatchHashJoin {
         if !overflow {
             self.ctx
                 .metrics
-                .add(&self.ctx.metrics.join_build_rows, rows.len() as u64);
-            let build = BuildTable::build(rows, &self.build_keys, &self.build_types)?;
+                .add(&self.ctx.metrics.join_build_rows, side.row_key.len() as u64);
+            let build = side.finish();
             // Publish the bitmap filter before the probe side is polled.
             if let Some(slot) = &self.filter_slot {
-                let filter = build
-                    .filter_keys()
-                    .and_then(|keys| BitmapFilter::build(&keys));
+                let filter = build.bitmap_filter(&shape.build_keys);
                 match &filter {
                     Some(f) if f.is_exact() => self
                         .ctx
@@ -509,7 +498,6 @@ impl BatchHashJoin {
             self.state = JoinState::InMemory {
                 build,
                 probe_done: false,
-                unmatched_cursor: 0,
             };
             return Ok(());
         }
@@ -528,9 +516,10 @@ impl BatchHashJoin {
             let h = hash_values(keys.iter().map(|&k| row.get(k)));
             (h >> 57) as usize % SPILL_PARTITIONS
         };
-        let mut build_rows = rows.len() as u64;
-        for row in rows.drain(..) {
-            build_files[part_of(&row, &self.build_keys)].write_row(&row)?;
+        let mut build_rows = 0u64;
+        for row in side.into_rows(&shape.build_types) {
+            build_rows += 1;
+            build_files[part_of(&row, &shape.build_keys)].write_row(&row)?;
         }
         // The build rows now live on disk: return their ledger reservation.
         self.ctx.release_memory(reserved);
@@ -538,7 +527,7 @@ impl BatchHashJoin {
             check_deadline(self.ctx.deadline)?;
             for row in batch.to_rows() {
                 build_rows += 1;
-                build_files[part_of(&row, &self.build_keys)].write_row(&row)?;
+                build_files[part_of(&row, &shape.build_keys)].write_row(&row)?;
             }
         }
         self.ctx
@@ -554,7 +543,7 @@ impl BatchHashJoin {
         while let Some(batch) = probe_input.next()? {
             check_deadline(self.ctx.deadline)?;
             for row in batch.to_rows() {
-                probe_files[part_of(&row, &self.probe_keys)].write_row(&row)?;
+                probe_files[part_of(&row, &shape.probe_keys)].write_row(&row)?;
             }
         }
         let m = &self.ctx.metrics;
@@ -579,13 +568,14 @@ impl BatchHashJoin {
 
 impl BatchOperator for BatchHashJoin {
     fn output_types(&self) -> &[DataType] {
-        &self.output_types
+        &self.shape.output_types
     }
 
     fn next(&mut self) -> Result<Option<Batch>> {
         if matches!(self.state, JoinState::NotStarted) {
             self.start()?;
         }
+        let (shape, ctx) = (&self.shape, &self.ctx);
         loop {
             match &mut self.state {
                 JoinState::NotStarted => {
@@ -594,11 +584,7 @@ impl BatchOperator for BatchHashJoin {
                     ))
                 }
                 JoinState::Done => return Ok(None),
-                JoinState::InMemory {
-                    build,
-                    probe_done,
-                    unmatched_cursor,
-                } => {
+                JoinState::InMemory { build, probe_done } => {
                     if !*probe_done {
                         let probe = self
                             .probe_input
@@ -607,62 +593,27 @@ impl BatchOperator for BatchHashJoin {
                         match probe.next()? {
                             Some(batch) => {
                                 let dense = batch.compact();
-                                self.ctx
-                                    .metrics
-                                    .add(&self.ctx.metrics.join_probe_rows, dense.n_rows() as u64);
-                                let m =
-                                    probe_batch(build, &dense, &self.probe_keys, self.join_type);
-                                // Split borrows: emit needs &self, so move
-                                // the needed pieces out of the match arm.
-                                let out = {
-                                    let build_ref: &BuildTable = build;
-                                    // SAFETY of borrow: emit takes &self and
-                                    // build by shared ref; state borrow ends
-                                    // before we mutate.
-                                    Self::emit_static(
-                                        &self.output_types,
-                                        &self.build_types,
-                                        self.join_type,
-                                        &self.ctx,
-                                        &dense,
-                                        m,
-                                        build_ref,
-                                    )?
-                                };
-                                if let Some(b) = out {
-                                    return Ok(Some(b));
+                                ctx.metrics
+                                    .add(&ctx.metrics.join_probe_rows, dense.n_rows() as u64);
+                                if let Some(out) = build.join(dense, shape, ctx)? {
+                                    return Ok(Some(out));
                                 }
-                                continue;
                             }
-                            None => {
-                                *probe_done = true;
-                                continue;
-                            }
+                            None => *probe_done = true,
                         }
+                        continue;
                     }
-                    // Unmatched-build tail.
-                    let out = Self::emit_unmatched_build_static(
-                        &self.output_types,
-                        &self.probe_types,
-                        &self.build_types,
-                        self.join_type,
-                        self.ctx.batch_size,
-                        build,
-                        unmatched_cursor,
-                    )?;
-                    match out {
-                        Some(b) => return Ok(Some(b)),
-                        None => {
-                            self.state = JoinState::Done;
-                            return Ok(None);
-                        }
+                    let out = build.unmatched_tail(shape, ctx.batch_size)?;
+                    if out.is_none() {
+                        self.state = JoinState::Done;
                     }
+                    return Ok(out);
                 }
                 JoinState::Spilled {
                     partitions,
                     current,
                 } => {
-                    check_deadline(self.ctx.deadline)?;
+                    check_deadline(ctx.deadline)?;
                     if current.is_none() {
                         match partitions.next() {
                             Some((build_reader, probe_reader)) => {
@@ -673,16 +624,13 @@ impl BatchOperator for BatchHashJoin {
                                 // happened, there is nowhere left to shed.
                                 let part_bytes: usize =
                                     build_rows.iter().map(|r| r.approx_bytes()).sum();
-                                self.ctx.reserve_memory(part_bytes)?;
-                                let build = BuildTable::build(
-                                    build_rows,
-                                    &self.build_keys,
-                                    &self.build_types,
-                                )?;
+                                ctx.reserve_memory(part_bytes)?;
+                                let mut side =
+                                    BuildSide::new(&shape.build_types, &shape.build_keys);
+                                side.push(&Batch::from_rows(&shape.build_types, &build_rows)?)?;
                                 *current = Some(PartitionJoin {
-                                    build,
+                                    build: side.finish(),
                                     probe: probe_reader,
-                                    unmatched_cursor: 0,
                                     probe_done: false,
                                     reserved: part_bytes,
                                 });
@@ -698,8 +646,8 @@ impl BatchOperator for BatchHashJoin {
                     };
                     if !part.probe_done {
                         // Read a batch worth of probe rows from the file.
-                        let mut rows = Vec::with_capacity(self.ctx.batch_size);
-                        while rows.len() < self.ctx.batch_size {
+                        let mut rows = Vec::with_capacity(ctx.batch_size);
+                        while rows.len() < ctx.batch_size {
                             match part.probe.read_row()? {
                                 Some(r) => rows.push(r),
                                 None => {
@@ -709,121 +657,27 @@ impl BatchOperator for BatchHashJoin {
                             }
                         }
                         if !rows.is_empty() {
-                            self.ctx
-                                .metrics
-                                .add(&self.ctx.metrics.join_probe_rows, rows.len() as u64);
-                            let batch = Batch::from_rows(&self.probe_types, &rows)?;
-                            let m = probe_batch(
-                                &mut part.build,
-                                &batch,
-                                &self.probe_keys,
-                                self.join_type,
-                            );
-                            let out = Self::emit_static(
-                                &self.output_types,
-                                &self.build_types,
-                                self.join_type,
-                                &self.ctx,
-                                &batch,
-                                m,
-                                &part.build,
-                            )?;
-                            if let Some(b) = out {
-                                return Ok(Some(b));
+                            ctx.metrics
+                                .add(&ctx.metrics.join_probe_rows, rows.len() as u64);
+                            let batch = Batch::from_rows(&shape.probe_types, &rows)?;
+                            if let Some(out) = part.build.join(batch, shape, ctx)? {
+                                return Ok(Some(out));
                             }
                         }
                         continue;
                     }
                     // Partition's unmatched-build tail, then next partition.
-                    let out = Self::emit_unmatched_build_static(
-                        &self.output_types,
-                        &self.probe_types,
-                        &self.build_types,
-                        self.join_type,
-                        self.ctx.batch_size,
-                        &part.build,
-                        &mut part.unmatched_cursor,
-                    )?;
-                    match out {
+                    match part.build.unmatched_tail(shape, ctx.batch_size)? {
                         Some(b) => return Ok(Some(b)),
                         None => {
                             if let Some(done) = current.take() {
-                                self.ctx.release_memory(done.reserved);
+                                ctx.release_memory(done.reserved);
                             }
-                            continue;
                         }
                     }
                 }
             }
         }
-    }
-}
-
-impl BatchHashJoin {
-    /// Borrow-friendly versions of emit/emit_unmatched_build used from
-    /// inside the state match (no `&self` while `self.state` is borrowed).
-    #[allow(clippy::too_many_arguments)]
-    fn emit_static(
-        output_types: &[DataType],
-        build_types: &[DataType],
-        join_type: JoinType,
-        ctx: &ExecContext,
-        batch: &Batch,
-        matches: ProbeMatches,
-        build: &BuildTable,
-    ) -> Result<Option<Batch>> {
-        if matches.probe_idx.is_empty() {
-            return Ok(None);
-        }
-        let mut columns: Vec<Vector> = batch
-            .columns()
-            .iter()
-            .map(|c| c.gather(&matches.probe_idx))
-            .collect();
-        if !join_type.probe_only_output() {
-            debug_assert_eq!(build_types.len(), build.cols.len());
-            for col in &build.cols {
-                columns.push(col.gather(&matches.build_idx));
-            }
-        }
-        ctx.metrics.add(&ctx.metrics.batches, 1);
-        Ok(Some(Batch::new(output_types.to_vec(), columns)))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit_unmatched_build_static(
-        output_types: &[DataType],
-        probe_types: &[DataType],
-        build_types: &[DataType],
-        join_type: JoinType,
-        batch_size: usize,
-        build: &BuildTable,
-        cursor: &mut usize,
-    ) -> Result<Option<Batch>> {
-        if !join_type.emits_unmatched_build() {
-            return Ok(None);
-        }
-        let mut idx = Vec::with_capacity(batch_size);
-        while *cursor < build.rows.len() && idx.len() < batch_size {
-            if !build.matched.get(*cursor) {
-                idx.push(*cursor as u32);
-            }
-            *cursor += 1;
-        }
-        if idx.is_empty() {
-            return Ok(None);
-        }
-        let n = idx.len();
-        let mut columns = Vec::with_capacity(output_types.len());
-        for &ty in probe_types {
-            columns.push(Vector::constant(ty, &Value::Null, n)?);
-        }
-        debug_assert_eq!(build_types.len(), build.cols.len());
-        let gather_idx: Vec<Option<u32>> = idx.iter().map(|&b| Some(b)).collect();
-        for col in &build.cols {
-            columns.push(col.gather(&gather_idx));
-        }
-        Ok(Some(Batch::new(output_types.to_vec(), columns)))
     }
 }
 
@@ -1056,6 +910,23 @@ mod tests {
             assert!(filter.maybe_contains(k));
         }
         assert!(!filter.maybe_contains(0));
+    }
+
+    #[test]
+    fn keys_of_different_physical_shapes_are_refused() {
+        // (k BIGINT, tag VARCHAR) on both sides: k = tag compares an
+        // integer image with an interned string id.
+        let err = BatchHashJoin::new(
+            probe_side(),
+            build_side(),
+            vec![0],
+            vec![1],
+            JoinType::Inner,
+            ExecContext::default(),
+        )
+        .err()
+        .expect("mismatched key shapes");
+        assert_eq!(err.code(), "PLAN", "{err}");
     }
 
     #[test]

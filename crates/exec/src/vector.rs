@@ -38,6 +38,16 @@ pub fn hash_values<'a>(values: impl Iterator<Item = &'a Value>) -> u64 {
     h
 }
 
+/// A NULL bitmap of `n` bits with those set for which `is_null` holds, or
+/// `None` when it holds for none (a vector without NULLs carries no bitmap).
+pub(crate) fn null_bitmap(n: usize, is_null: impl Fn(usize) -> bool) -> Option<Bitmap> {
+    let mut nulls: Option<Bitmap> = None;
+    for i in (0..n).filter(|&i| is_null(i)) {
+        nulls.get_or_insert_with(|| Bitmap::zeros(n)).set(i);
+    }
+    nulls
+}
+
 /// String vector storage: dictionary-coded (from segments) or owned
 /// (computed / from delta rows).
 #[derive(Clone, Debug)]
@@ -296,6 +306,50 @@ impl Vector {
         }
     }
 
+    /// Like [`Vector::gather`], except that an index past the end yields
+    /// NULL — how the hash join null-extends a probe row with no build row.
+    pub fn gather_or_null(&self, indices: &[u32]) -> Vector {
+        fn take<T: Clone + Default>(src: &[T], indices: &[u32]) -> Vec<T> {
+            indices
+                .iter()
+                .map(|&i| src.get(i as usize).cloned().unwrap_or_default())
+                .collect()
+        }
+        let (len, src_nulls) = (self.len(), self.nulls());
+        let nulls = null_bitmap(indices.len(), |out| {
+            let i = indices[out] as usize;
+            i >= len || src_nulls.is_some_and(|n| n.get(i))
+        });
+        match self {
+            Vector::I64 { values, .. } => Vector::I64 {
+                values: take(values, indices),
+                nulls,
+            },
+            Vector::F64 { values, .. } => Vector::F64 {
+                values: take(values, indices),
+                nulls,
+            },
+            Vector::Str { strings, .. } => Vector::Str {
+                strings: match strings {
+                    StrVector::Dict { codes, dict } => StrVector::Dict {
+                        codes: take(codes, indices),
+                        dict: dict.clone(),
+                    },
+                    StrVector::Owned(v) => {
+                        let empty: Arc<str> = Arc::from("");
+                        StrVector::Owned(
+                            indices
+                                .iter()
+                                .map(|&i| v.get(i as usize).unwrap_or(&empty).clone())
+                                .collect(),
+                        )
+                    }
+                },
+                nulls,
+            },
+        }
+    }
+
     /// Copy the subrange `[start, start + len)` into a new vector.
     pub fn slice(&self, start: usize, len: usize) -> Vector {
         let slice_nulls = |nulls: &Option<Bitmap>| -> Option<Bitmap> {
@@ -460,6 +514,29 @@ mod tests {
         let g = v.gather(&[1, 2]);
         assert!(g.is_null(0));
         assert!(!g.is_null(1));
+    }
+
+    #[test]
+    fn gather_or_null_extends_past_the_end() {
+        let v = Vector::from_values(
+            DataType::Int64,
+            &[Value::Int64(5), Value::Null, Value::Int64(7)],
+        )
+        .unwrap();
+        let g = v.gather_or_null(&[2, u32::MAX, 1, 0]);
+        assert_eq!(g.i64_at(0), 7);
+        assert!(g.is_null(1) && g.is_null(2) && !g.is_null(3));
+        let dict = Arc::new(Dictionary::build_str(["aa", "bb"].into_iter()));
+        let coded = Vector::Str {
+            strings: StrVector::Dict {
+                codes: vec![0, 1],
+                dict,
+            },
+            nulls: None,
+        };
+        let g = coded.gather_or_null(&[1, u32::MAX]);
+        assert_eq!(g.value_at(0, DataType::Utf8), Value::str("bb"));
+        assert_eq!(g.value_at(1, DataType::Utf8), Value::Null);
     }
 
     #[test]

@@ -279,26 +279,35 @@ impl ColumnSegment {
                     nulls: self.nulls.clone(),
                 }
             }
+            // A segment of nothing but NULLs has an empty dictionary, and
+            // its codes (all 0) name no entry: it decodes to placeholder
+            // values under the NULL bitmap.
             (Some(dict), None) => match dict.as_ref() {
-                Dictionary::Str(_) => SegmentValues::Str {
+                Dictionary::Str(strings) => SegmentValues::Str {
                     codes: codes.iter().map(|&c| c as u32).collect(),
-                    dict: dict.clone(),
+                    dict: if strings.is_empty() {
+                        Arc::new(Dictionary::Str(vec![Arc::from("")]))
+                    } else {
+                        dict.clone()
+                    },
                     nulls: self.nulls.clone(),
                 },
-                Dictionary::I64(_) => {
-                    let values: Vec<i64> = codes.iter().map(|&c| dict.i64_at(c as u32)).collect();
-                    SegmentValues::I64 {
-                        values,
-                        nulls: self.nulls.clone(),
-                    }
-                }
-                Dictionary::F64(_) => {
-                    let values: Vec<f64> = codes.iter().map(|&c| dict.f64_at(c as u32)).collect();
-                    SegmentValues::F64 {
-                        values,
-                        nulls: self.nulls.clone(),
-                    }
-                }
+                Dictionary::I64(entries) => SegmentValues::I64 {
+                    values: if entries.is_empty() {
+                        vec![0; codes.len()]
+                    } else {
+                        codes.iter().map(|&c| dict.i64_at(c as u32)).collect()
+                    },
+                    nulls: self.nulls.clone(),
+                },
+                Dictionary::F64(entries) => SegmentValues::F64 {
+                    values: if entries.is_empty() {
+                        vec![0.0; codes.len()]
+                    } else {
+                        codes.iter().map(|&c| dict.f64_at(c as u32)).collect()
+                    },
+                    nulls: self.nulls.clone(),
+                },
             },
             // lint: allow(panic) — `assemble` guarantees exactly one
             // primary encoding
@@ -444,6 +453,25 @@ mod tests {
             .map(|v| v.map_or(Value::Null, Value::from))
             .collect();
         encode_column(DataType::Utf8, &vals, None).unwrap()
+    }
+
+    #[test]
+    fn all_null_segments_decode_to_placeholders_under_the_null_bitmap() {
+        for ty in [DataType::Float64, DataType::Int64, DataType::Utf8] {
+            let seg = encode_column(ty, &vec![Value::Null; 7], None).unwrap();
+            let (len, nulls) = match seg.decode() {
+                SegmentValues::I64 { values, nulls } => (values.len(), nulls),
+                SegmentValues::F64 { values, nulls } => (values.len(), nulls),
+                SegmentValues::Str { codes, dict, nulls } => {
+                    // Every code names an entry, so nothing downstream can
+                    // index past the dictionary.
+                    assert!(codes.iter().all(|&c| (c as usize) < dict.len()));
+                    (codes.len(), nulls)
+                }
+            };
+            assert_eq!(len, 7, "{ty}");
+            assert_eq!(nulls.map(|n| n.count_ones()), Some(7), "{ty}");
+        }
     }
 
     #[test]

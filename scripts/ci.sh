@@ -292,4 +292,19 @@ case "$trickle" in
     ;;
 esac
 
+# Read-path gate: the same for `star_join_agg` — star joins, group-bys
+# and a Top-N through the hash join and hash aggregation, every result
+# checked against the generator's oracle and against row mode.
+echo "==> perfbench star_join_agg smoke"
+star=$(cd perfbench && cargo run --release --offline --quiet --bin bench -- \
+    run --workload star_join_agg --quick --seconds 3 | tail -n 1)
+case "$star" in
+*'"failed": 0,'*) ;;
+*)
+    echo "star_join_agg reported failed operations:"
+    echo "$star"
+    exit 1
+    ;;
+esac
+
 echo "==> ci: all gates passed"

@@ -1068,9 +1068,16 @@ fn txn_torn_commit_crash_point_matrix() {
         for kind in [FaultKind::Crash, FaultKind::TornCrash, FaultKind::IoError] {
             for k in 0..total {
                 let (faults, _, _) = txn_crash_trial(9000 + k, &ops, Some((point, kind, k)));
+                // The consult count is not the same in every run: the
+                // log-writer thread, woken by the previous commit's flush,
+                // may or may not find an open transaction's statement-time
+                // frames buffered and flush them on its own. A trial that
+                // happened to flush less often than the dry run never
+                // reaches consult #k near the end of the sweep; one that
+                // does reach it must fire.
                 assert!(
-                    faults.fired(point) >= 1,
-                    "{kind:?} at {point} #{k} must fire"
+                    faults.fired(point) >= 1 || faults.hits(point) <= k,
+                    "{kind:?} at {point} #{k} was reached and must fire"
                 );
             }
         }

@@ -204,6 +204,39 @@ fn concurrent_queries_share_one_memory_ledger() {
     assert_eq!(snap.admission_running, 0, "{snap:?}");
 }
 
+/// Hash aggregation charges the shared ledger for its key table and
+/// state arrays: a high-cardinality `GROUP BY` under a small limit is
+/// refused with the ledger's error instead of running over budget, a
+/// low-cardinality one over the same rows fits, and nothing stays
+/// reserved either way.
+#[test]
+fn high_cardinality_group_by_is_refused_under_a_small_memory_limit() {
+    let db = loaded_db();
+    let ledger = db.governor().ledger();
+    let baseline = ledger.reserved();
+    // 2000 groups: key words + hashes + chain + buckets + counts alone
+    // are past 64 KiB; 37 groups are a few hundred bytes.
+    db.execute("SET memory_limit_bytes = 65536").unwrap();
+    for sql in [
+        "SELECT id, COUNT(*) FROM cs GROUP BY id",
+        "SELECT COUNT(DISTINCT id) FROM cs",
+    ] {
+        match db.execute(sql) {
+            Err(Error::ResourceExhausted(m)) => {
+                assert!(m.contains("memory ledger exhausted"), "{m}")
+            }
+            other => panic!("{sql}: expected ResourceExhausted, got {other:?}"),
+        }
+        assert_eq!(ledger.reserved(), baseline, "{sql} leaked its reservation");
+    }
+    let r = db
+        .execute("SELECT name, COUNT(*), SUM(id) FROM cs GROUP BY name")
+        .unwrap();
+    assert_eq!(r.rows().len(), 37);
+    assert_eq!(ledger.reserved(), baseline, "reservations must drain");
+    assert!(db.governor().snapshot().mem_peak_bytes > 0);
+}
+
 /// Delta-store backpressure through the SQL surface: with the high-water
 /// mark at two closed stores and a short timeout, trickle inserts fail
 /// with the backpressure error until a tuple-mover pass drains the

@@ -5,7 +5,10 @@
 //!   evaluation (the pushdown correctness invariant);
 //! * the archival codec roundtrips arbitrary bytes;
 //! * batch-mode and row-mode execution agree on arbitrary filters;
-//! * the delete/insert lifecycle preserves the multiset of live rows.
+//! * the delete/insert lifecycle preserves the multiset of live rows;
+//! * hash joins (all six types) and hash aggregation agree with row mode
+//!   and a nested-loop reference over every key shape, in memory and
+//!   spilled.
 //!
 //! Deterministic seeded `Rng` replaces proptest so the suite builds
 //! offline; each case runs many independent seeds.
@@ -353,5 +356,282 @@ fn autocommit_and_transactional_dml_agree_live_and_after_replay() {
             outcomes[0], outcomes[2],
             "seed {seed}: autocommit vs one txn"
         );
+    }
+}
+
+// ------------------------------------------------- hash join / aggregation
+
+/// What a join or group key is made of.
+#[derive(Clone, Copy, Debug)]
+enum KeyShape {
+    Int,
+    IntPair,
+    Str,
+    Float,
+}
+
+impl KeyShape {
+    const ALL: [KeyShape; 4] = [
+        KeyShape::Int,
+        KeyShape::IntPair,
+        KeyShape::Str,
+        KeyShape::Float,
+    ];
+
+    /// The key columns' definitions; they sit at ordinals `1..`.
+    fn ddl(self) -> &'static str {
+        match self {
+            KeyShape::Int => "k BIGINT",
+            KeyShape::IntPair => "k BIGINT, k2 INT",
+            KeyShape::Str => "k VARCHAR",
+            KeyShape::Float => "k DOUBLE",
+        }
+    }
+
+    fn names(self) -> &'static [&'static str] {
+        match self {
+            KeyShape::IntPair => &["k", "k2"],
+            _ => &["k"],
+        }
+    }
+
+    /// A key from a small domain, so keys repeat on both sides, with NULLs,
+    /// the empty string, and the floats whose equality is by bit pattern.
+    fn random_key(self, rng: &mut Rng) -> Vec<Value> {
+        let null = rng.gen_bool(0.12);
+        match self {
+            _ if null && !matches!(self, KeyShape::IntPair) => vec![Value::Null],
+            KeyShape::Int => vec![Value::Int64(rng.range_i64(-3, 9))],
+            KeyShape::IntPair => vec![
+                if null {
+                    Value::Null
+                } else {
+                    Value::Int64(rng.range_i64(0, 4))
+                },
+                if rng.gen_bool(0.12) {
+                    Value::Null
+                } else {
+                    Value::Int32(rng.range_i64(0, 3) as i32)
+                },
+            ],
+            KeyShape::Str => vec![Value::str(
+                ["", "k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"][rng.range_usize(0, 9)],
+            )],
+            KeyShape::Float => vec![Value::Float64(
+                [0.0, -0.0, f64::NAN, 1.5, -2.25, 1e300, 7.0][rng.range_usize(0, 7)],
+            )],
+        }
+    }
+}
+
+/// `(id, key.., p, s)` rows with ids from `first_id`.
+fn keyed_rows(rng: &mut Rng, shape: KeyShape, first_id: i64, n: usize) -> Vec<Row> {
+    (0..n)
+        .map(|i| {
+            let mut values = vec![Value::Int64(first_id + i as i64)];
+            values.extend(shape.random_key(rng));
+            values.push(if rng.gen_bool(0.2) {
+                Value::Null
+            } else {
+                Value::Int64(rng.range_i64(-20, 20))
+            });
+            values.push(if rng.gen_bool(0.2) {
+                Value::Null
+            } else {
+                Value::str(["ant", "bee", "cat", "dog"][rng.range_usize(0, 4)])
+            });
+            Row::new(values)
+        })
+        .collect()
+}
+
+/// Create `name` and load `rows`: the first `compressed` of them as
+/// compressed row groups (several, each with its own dictionaries), the
+/// rest into the delta store — so equal strings reach the operators both
+/// dictionary-coded and owned.
+fn load_keyed(db: &cstore::Database, name: &str, shape: KeyShape, rows: &[Row], compressed: usize) {
+    db.execute(&format!(
+        "CREATE TABLE {name} (id BIGINT NOT NULL, {}, p BIGINT, s VARCHAR)",
+        shape.ddl()
+    ))
+    .unwrap();
+    db.bulk_load(name, &rows[..compressed]).unwrap();
+    db.bulk_load(name, &rows[compressed..]).unwrap();
+    let states = db
+        .execute(&format!(
+            "SELECT state FROM sys.row_groups WHERE table_name = '{name}'"
+        ))
+        .unwrap();
+    let has = |state: &str| states.rows().iter().any(|r| r.get(0) == &Value::str(state));
+    assert!(has("COMPRESSED") && has("OPEN"), "{:?}", states.rows());
+}
+
+fn keyed_db() -> cstore::Database {
+    cstore::Database::new().with_table_config(TableConfig {
+        bulk_load_threshold: 32,
+        max_rowgroup_rows: 48,
+        ..Default::default()
+    })
+}
+
+fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort();
+    rows
+}
+
+#[test]
+fn hash_joins_agree_with_row_mode_nested_loops_and_their_spilled_selves() {
+    use cstore::exec::{ExecContext, JoinType};
+    use cstore::ExecMode;
+    let joins = [
+        (JoinType::Inner, "JOIN"),
+        (JoinType::LeftOuter, "LEFT JOIN"),
+        (JoinType::RightOuter, "RIGHT JOIN"),
+        (JoinType::FullOuter, "FULL JOIN"),
+        (JoinType::LeftSemi, "LEFT SEMI JOIN"),
+        (JoinType::LeftAnti, "LEFT ANTI JOIN"),
+    ];
+    for shape in KeyShape::ALL {
+        for seed in 0..4u64 {
+            let mut rng = Rng::new(seed ^ 0x101A);
+            let db = keyed_db().with_exec_mode(ExecMode::Batch);
+            let l = keyed_rows(&mut rng, shape, 0, 130);
+            let r = keyed_rows(&mut rng, shape, 1000, 70);
+            load_keyed(&db, "l", shape, &l, 110);
+            load_keyed(&db, "r", shape, &r, 50);
+            let row_db = db.clone().with_exec_mode(ExecMode::Row);
+            let starved = db
+                .clone()
+                .with_exec_context(ExecContext::default().with_budget(64));
+            let n_keys = shape.names().len();
+            // NULL never matches; everything else by storage equality
+            // (floats by total order: NaN = NaN, -0.0 <> 0.0).
+            let matches = |a: &Row, b: &Row| {
+                (1..=n_keys).all(|c| !a.get(c).is_null() && a.get(c) == b.get(c))
+            };
+            let on = shape
+                .names()
+                .iter()
+                .map(|k| format!("l.{k} = r.{k}"))
+                .collect::<Vec<_>>()
+                .join(" AND ");
+            for (join_type, keyword) in joins {
+                let probe_only = matches!(join_type, JoinType::LeftSemi | JoinType::LeftAnti);
+                let select = if probe_only {
+                    "l.id, l.s"
+                } else {
+                    "l.id, l.s, r.id, r.p"
+                };
+                let sql = format!("SELECT {select} FROM l {keyword} r ON {on}");
+                let what = format!("{shape:?} seed {seed}: {sql}");
+                let (s_col, p_col) = (n_keys + 2, n_keys + 1);
+                let left = |a: &Row| vec![a.get(0).clone(), a.get(s_col).clone()];
+                let right = |b: &Row| vec![b.get(0).clone(), b.get(p_col).clone()];
+                let mut expected: Vec<Row> = Vec::new();
+                for a in &l {
+                    let partners: Vec<&Row> = r.iter().filter(|b| matches(a, b)).collect();
+                    match join_type {
+                        JoinType::LeftSemi if !partners.is_empty() => {
+                            expected.push(Row::new(left(a)))
+                        }
+                        JoinType::LeftAnti if partners.is_empty() => {
+                            expected.push(Row::new(left(a)))
+                        }
+                        JoinType::LeftSemi | JoinType::LeftAnti => {}
+                        _ => {
+                            for b in &partners {
+                                expected.push(Row::new([left(a), right(b)].concat()));
+                            }
+                            if partners.is_empty()
+                                && matches!(join_type, JoinType::LeftOuter | JoinType::FullOuter)
+                            {
+                                expected.push(Row::new([left(a), vec![Value::Null; 2]].concat()));
+                            }
+                        }
+                    }
+                }
+                if matches!(join_type, JoinType::RightOuter | JoinType::FullOuter) {
+                    for b in r.iter().filter(|b| !l.iter().any(|a| matches(a, b))) {
+                        expected.push(Row::new([vec![Value::Null; 2], right(b)].concat()));
+                    }
+                }
+                let expected = sorted(expected);
+                let batch = sorted(db.execute(&sql).unwrap().rows().to_vec());
+                assert_eq!(batch, expected, "batch vs nested loops, {what}");
+                // Row mode has no right/full outer hash join.
+                if !matches!(join_type, JoinType::RightOuter | JoinType::FullOuter) {
+                    let row = sorted(row_db.execute(&sql).unwrap().rows().to_vec());
+                    assert_eq!(batch, row, "batch vs row mode, {what}");
+                }
+                let spilled = sorted(starved.execute(&sql).unwrap().rows().to_vec());
+                assert_eq!(batch, spilled, "in memory vs spilled, {what}");
+            }
+            let metrics = starved.exec_context().metrics.snapshot();
+            let spilled = metrics.iter().find(|(n, _)| *n == "partitions_spilled");
+            assert!(
+                spilled.is_some_and(|(_, n)| *n > 0),
+                "{shape:?} seed {seed}: the 64-byte budget never spilled"
+            );
+        }
+    }
+}
+
+#[test]
+fn hash_aggregation_agrees_with_row_mode_across_key_shapes() {
+    use cstore::ExecMode;
+    let aggs = "COUNT(*), COUNT(p), SUM(p), MIN(p), MAX(p), AVG(p), COUNT(DISTINCT p), \
+                MIN(s), MAX(s), COUNT(DISTINCT s)";
+    for shape in KeyShape::ALL {
+        for seed in 0..4u64 {
+            let mut rng = Rng::new(seed ^ 0xA66);
+            let db = keyed_db().with_exec_mode(ExecMode::Batch);
+            let rows = keyed_rows(&mut rng, shape, 0, 150);
+            load_keyed(&db, "l", shape, &rows, 120);
+            let row_db = db.clone().with_exec_mode(ExecMode::Row);
+            let keys = shape.names().join(", ");
+            let n_keys = shape.names().len();
+            for sql in [
+                format!("SELECT {keys}, {aggs} FROM l GROUP BY {keys}"),
+                format!("SELECT {aggs} FROM l"),
+                // Float and string aggregate arguments, and no input rows.
+                "SELECT s, COUNT(DISTINCT k), MIN(k), MAX(k) FROM l GROUP BY s".to_string(),
+                format!("SELECT {aggs} FROM l WHERE id < 0"),
+            ] {
+                let what = format!("{shape:?} seed {seed}: {sql}");
+                let batch = db.execute(&sql).unwrap().rows().to_vec();
+                let row = row_db.execute(&sql).unwrap().rows().to_vec();
+                assert_eq!(
+                    sorted(batch.clone()),
+                    sorted(row),
+                    "batch vs row mode, {what}"
+                );
+                assert_eq!(batch, sorted(batch.clone()), "groups ascend by key, {what}");
+            }
+            // Grouping agrees with a direct count per distinct key, NULLs
+            // forming one group of their own.
+            let grouped = db
+                .execute(&format!("SELECT {keys}, COUNT(*) FROM l GROUP BY {keys}"))
+                .unwrap();
+            let mut expected: Vec<(Vec<Value>, i64)> = Vec::new();
+            for r in &rows {
+                let key = r.values()[1..=n_keys].to_vec();
+                match expected.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, n)) => *n += 1,
+                    None => expected.push((key, 1)),
+                }
+            }
+            let expected: Vec<Row> = expected
+                .into_iter()
+                .map(|(mut k, n)| {
+                    k.push(Value::Int64(n));
+                    Row::new(k)
+                })
+                .collect();
+            assert_eq!(
+                grouped.rows(),
+                sorted(expected),
+                "{shape:?} seed {seed}: groups vs direct count"
+            );
+        }
     }
 }

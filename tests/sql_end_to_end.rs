@@ -465,3 +465,49 @@ fn set_query_timeout_aborts_slow_queries_cleanly() {
     assert!(db.execute("SET no_such_option = 1").is_err());
     assert!(db.execute("SET query_timeout_ms = -5").is_err());
 }
+
+/// A bulk-loaded row group whose nullable columns hold nothing but NULLs
+/// has empty dictionaries; decoding it used to index entry 0 and panic.
+#[test]
+fn all_null_columns_in_a_compressed_group_aggregate_and_group() {
+    let db = small_db();
+    db.execute("CREATE TABLE n (id BIGINT NOT NULL, f DOUBLE, b BIGINT, v VARCHAR)")
+        .unwrap();
+    let rows: Vec<Row> = (0..200)
+        .map(|i| Row::new(vec![Value::Int64(i), Value::Null, Value::Null, Value::Null]))
+        .collect();
+    db.bulk_load("n", &rows).unwrap();
+    for mode in [ExecMode::Batch, ExecMode::Row] {
+        let db = db.clone().with_exec_mode(mode);
+        let r = db
+            .execute("SELECT COUNT(*), COUNT(f), COUNT(b), COUNT(v), SUM(f), MIN(b), MAX(v) FROM n")
+            .unwrap();
+        assert_eq!(
+            r.rows()[0].values(),
+            &[
+                Value::Int64(200),
+                Value::Int64(0),
+                Value::Int64(0),
+                Value::Int64(0),
+                Value::Null,
+                Value::Null,
+                Value::Null
+            ],
+            "{mode:?}"
+        );
+        for col in ["f", "b", "v"] {
+            let r = db
+                .execute(&format!("SELECT {col}, COUNT(*) FROM n GROUP BY {col}"))
+                .unwrap();
+            assert_eq!(
+                r.rows(),
+                &[Row::new(vec![Value::Null, Value::Int64(200)])],
+                "{mode:?} GROUP BY {col}"
+            );
+        }
+        let r = db
+            .execute("SELECT COUNT(*) FROM n WHERE v LIKE 'a%'")
+            .unwrap();
+        assert_eq!(r.rows()[0].get(0), &Value::Int64(0), "{mode:?}");
+    }
+}
