@@ -38,6 +38,8 @@ pub enum Error {
     /// A write-write conflict between concurrent transactions: two
     /// transactions tried to delete/update the same row, and this one lost.
     Conflict(String),
+    /// The statement ran past its `SET query_timeout_ms` deadline.
+    Timeout,
 }
 
 impl Error {
@@ -55,6 +57,7 @@ impl Error {
             Error::ResourceExhausted(_) => "RESOURCE_EXHAUSTED",
             Error::ReadOnly(_) => "READ_ONLY",
             Error::Conflict(_) => "CONFLICT",
+            Error::Timeout => "TIMEOUT",
         }
     }
 }
@@ -73,6 +76,13 @@ impl fmt::Display for Error {
             Error::ResourceExhausted(m) => write!(f, "resource exhausted: {m}"),
             Error::ReadOnly(m) => write!(f, "database is read-only: {m}"),
             Error::Conflict(m) => write!(f, "write-write conflict: {m}"),
+            // Same text as when this was an `Execution` error.
+            Error::Timeout => {
+                write!(
+                    f,
+                    "execution error: query timeout exceeded (SET query_timeout_ms)"
+                )
+            }
         }
     }
 }
@@ -120,6 +130,15 @@ mod tests {
         assert_eq!(e.code(), "CONFLICT");
         assert!(e.to_string().contains("write-write conflict"));
         assert!(e.to_string().contains("txn 7"));
+    }
+
+    #[test]
+    fn timeout_is_its_own_variant_with_the_established_text() {
+        assert_eq!(Error::Timeout.code(), "TIMEOUT");
+        assert_eq!(
+            Error::Timeout.to_string(),
+            "execution error: query timeout exceeded (SET query_timeout_ms)"
+        );
     }
 
     #[test]

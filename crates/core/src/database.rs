@@ -15,16 +15,16 @@ use cstore_delta::{
     WalReplayReport, WalStatus, WalSyncMode,
 };
 use cstore_exec::ops::collect_rows;
-use cstore_exec::ExecContext;
+use cstore_exec::{ExecContext, ExecProfile};
 use cstore_planner::explain::{explain, explain_analyze};
 use cstore_planner::physical::build_physical;
 use cstore_planner::rules::optimize;
 use cstore_planner::ExecMode;
 use cstore_sql::ast::{SetValue, Statement, TableOrganization};
-use cstore_sql::{bind_select, parse};
+use cstore_sql::bind_select;
 
 use crate::catalog::{Catalog, TableEntry};
-use crate::introspect::{QueryLog, QueryOutcome, SysCatalog};
+use crate::introspect::{QueryLog, QueryProfile, QueryStatus, SysCatalog};
 use crate::persist::{self, OpenMode, OpenReport, TableOpenReport, VerifyReport};
 use crate::txn::TxnManager;
 use crate::write::SessionTxn;
@@ -42,6 +42,15 @@ struct CatalogEntry {
     schema: Schema,
 }
 
+/// What [`Database::run_plan`] hands back besides the profile.
+struct PlanRun {
+    /// The optimized plan that ran.
+    plan: cstore_planner::LogicalPlan,
+    rows: Vec<Row>,
+    mode: ExecMode,
+    bitmap_filters: usize,
+}
+
 /// The result of executing one statement.
 #[derive(Debug)]
 pub enum QueryResult {
@@ -55,8 +64,6 @@ pub enum QueryResult {
         mode: ExecMode,
         /// Execution counters (segment elimination, bitmap drops, ...).
         metrics: Vec<(&'static str, u64)>,
-        /// Label of the top-level plan operator (for `sys.query_log`).
-        plan_root: Option<String>,
         elapsed: Duration,
     },
     /// DML row count.
@@ -322,11 +329,16 @@ impl Database {
     }
 
     /// Execute one SQL statement. Every statement — including ones that
-    /// fail to parse, bind or execute — lands in `sys.query_log`.
+    /// fail to parse, bind or execute, time out or are refused admission —
+    /// ends as exactly one [`QueryProfile`], which is all that
+    /// `sys.query_log`, the Query Store and the metrics registry are told
+    /// about it.
     pub fn execute(&self, sql: &str) -> Result<QueryResult> {
         let _query_span = cstore_common::trace::global().span("query");
         let start = Instant::now();
-        let shape = cstore_sql::query_shape(sql);
+        // Lexed once: the shape and the parser read the same tokens.
+        let tokens = cstore_sql::lexer::tokenize(sql);
+        let shape = cstore_sql::shape::shape_of(sql, tokens.as_deref().ok());
         // Per-query wait frame, installed *before* admission so time
         // spent queued at the gate is charged to the waiting statement,
         // not to whichever query happens to be running. Every blocking
@@ -334,96 +346,75 @@ impl Database {
         // `ExecContext::for_query` adopts the same frame.
         let waits = Arc::new(cstore_common::waits::WaitProfile::new());
         let _wait_scope = cstore_common::waits::install(Arc::clone(&waits));
+        let mut exec = ExecProfile::idle(waits);
         // Admission control: acquire (and hold, via the permit) a query
         // slot for the whole statement. A saturated gate parks the caller
-        // up to the admission timeout; rejections land in the query log
-        // like any other error.
-        let result = match self.governor.admit_query() {
-            Ok(_permit) => self.execute_traced(sql),
-            Err(e) => Err(e),
-        };
-        let elapsed = start.elapsed();
-        let metric = |snapshot: &[(&str, u64)], name: &str| {
-            snapshot
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(0, |(_, v)| *v)
-        };
-        let (rows_returned, spill_partitions, spill_bytes) = match &result {
-            Ok(QueryResult::Rows { rows, metrics, .. }) => (
-                rows.len() as u64,
-                metric(metrics, "partitions_spilled"),
-                metric(metrics, "bytes_spilled"),
-            ),
-            _ => (0, 0, 0),
-        };
-        let outcome = match &result {
-            Ok(QueryResult::Rows {
-                rows,
-                metrics,
-                plan_root,
-                ..
-            }) => QueryOutcome::Ok {
-                rows: rows.len(),
-                batches: metric(metrics, "batches"),
-                plan_root: plan_root.clone(),
-            },
+        // up to the admission timeout; rejections are profiled like any
+        // other error.
+        let result = self.governor.admit_query().and_then(|_permit| {
+            let stmt = {
+                let _span = cstore_common::trace::global().span("parse");
+                cstore_sql::parser::parse_tokens(tokens?)?
+            };
+            self.execute_statement(stmt, &mut exec)
+        });
+        let status = match &result {
             // Rollbacks are not errors, but they are not successful work
             // either: the Query Store counts them as failures and the
             // query log shows a distinct ROLLBACK status.
-            Ok(QueryResult::Txn(TxnAck::RolledBack)) => QueryOutcome::RolledBack,
-            Ok(_) => QueryOutcome::Ok {
-                rows: 0,
-                batches: 0,
-                plan_root: None,
-            },
-            Err(e) if e.code() == "CONFLICT" => {
-                metrics::global().counter("cstore_query_errors_total").inc();
-                metrics::global()
-                    .counter("cstore_txn_conflicts_total")
-                    .inc();
-                QueryOutcome::Conflict(e.to_string())
-            }
-            Err(e) => {
-                metrics::global().counter("cstore_query_errors_total").inc();
-                QueryOutcome::Error(e.to_string())
-            }
+            Ok(QueryResult::Txn(TxnAck::RolledBack)) => QueryStatus::Rollback,
+            Ok(_) => QueryStatus::Ok,
+            Err(Error::Conflict(_)) => QueryStatus::Conflict,
+            Err(_) => QueryStatus::Error,
         };
-        let rolled_back = matches!(&result, Ok(QueryResult::Txn(TxnAck::RolledBack)));
-        let (failed, timed_out) = match &result {
-            Ok(_) => (rolled_back, false),
-            Err(e) => (true, e.to_string().contains("query timeout")),
-        };
-        self.query_log
-            .lock()
-            .record(sql, shape.hash, elapsed, outcome);
-        self.query_store.record(&crate::query_store::QuerySample {
-            shape_hash: shape.hash,
-            shape_text: shape.text,
-            elapsed,
-            rows: rows_returned,
-            failed,
-            timed_out,
-            waits: waits.snapshot(),
-            spill_partitions,
-            spill_bytes,
+        self.finish_query(QueryProfile {
+            text: sql.to_owned(),
+            shape,
+            status,
+            timed_out: matches!(&result, Err(Error::Timeout)),
+            error: result.as_ref().err().map(Error::to_string),
+            elapsed: start.elapsed(),
+            exec,
         });
         result
     }
 
-    fn execute_traced(&self, sql: &str) -> Result<QueryResult> {
-        let stmt = {
-            let _span = cstore_common::trace::global().span("parse");
-            parse(sql)?
-        };
-        self.execute_statement(stmt)
+    /// Report one finished statement to every surface that keeps
+    /// statements: the cumulative context metrics, the process-wide
+    /// registry, the Query Store and the query log. The counting rule is
+    /// "every statement that reached `execute`, once, whatever its end".
+    fn finish_query(&self, p: QueryProfile) {
+        self.ctx.metrics.absorb(&p.exec.counters);
+        let reg = metrics::global();
+        reg.counter("cstore_queries_total").inc();
+        reg.observe(
+            "cstore_query_latency_us",
+            &LATENCY_BUCKETS_US,
+            p.elapsed_us(),
+        );
+        if p.error.is_some() {
+            reg.counter("cstore_query_errors_total").inc();
+        }
+        if p.status == QueryStatus::Conflict {
+            reg.counter("cstore_txn_conflicts_total").inc();
+        }
+        p.exec.counters.for_each(|name, v| {
+            if v > 0 {
+                reg.add(&format!("cstore_query_{name}_total"), v);
+            }
+        });
+        self.query_store.record(&p);
+        self.query_log.lock().record(p);
     }
 
-    pub(crate) fn dispatch_autocommit(&self, stmt: Statement) -> Result<QueryResult> {
+    pub(crate) fn dispatch_autocommit(
+        &self,
+        stmt: Statement,
+        exec: &mut ExecProfile,
+    ) -> Result<QueryResult> {
         match stmt {
-            Statement::Select(s) => self.run_select(&s, None),
-            Statement::UnionAll(branches) => self.run_union(&branches, None),
-            Statement::Explain { analyze, stmt } => self.run_explain(*stmt, analyze, None),
+            Statement::Select(_) | Statement::UnionAll(_) => self.run_query(&stmt, None, exec),
+            Statement::Explain { analyze, stmt } => self.run_explain(&stmt, analyze, None, exec),
             Statement::CreateTable {
                 name,
                 columns,
@@ -569,166 +560,109 @@ impl Database {
         (ms > 0).then(|| Instant::now() + Duration::from_millis(ms))
     }
 
-    pub(crate) fn run_select(
+    /// SELECT and UNION ALL: bind, then run the plan.
+    pub(crate) fn run_query(
         &self,
-        stmt: &cstore_sql::ast::SelectStmt,
+        stmt: &Statement,
         snaps: Option<Arc<HashMap<String, TableSnapshot>>>,
+        exec: &mut ExecProfile,
     ) -> Result<QueryResult> {
         // `sys.*` views materialize here (and are memoized for the whole
         // query) so bind, optimize and lowering see one snapshot.
         let catalog = SysCatalog::new(&self.catalog, self);
-        let plan = {
-            let _span = cstore_common::trace::global().span("bind");
-            bind_select(stmt, &catalog)?
-        };
-        self.run_plan(plan, &catalog, snaps)
+        let plan = Self::bind(stmt, &catalog)?;
+        let run = self.run_plan(plan, &catalog, snaps, exec)?;
+        let fields = run.plan.output_fields()?;
+        Ok(QueryResult::Rows {
+            columns: fields.iter().map(|f| f.name.clone()).collect(),
+            types: fields.iter().map(|f| f.data_type).collect(),
+            rows: run.rows,
+            mode: run.mode,
+            metrics: exec.counters.named(),
+            elapsed: exec.elapsed,
+        })
     }
 
-    pub(crate) fn run_union(
-        &self,
-        branches: &[cstore_sql::ast::SelectStmt],
-        snaps: Option<Arc<HashMap<String, TableSnapshot>>>,
-    ) -> Result<QueryResult> {
-        let catalog = SysCatalog::new(&self.catalog, self);
-        let plan = {
-            let _span = cstore_common::trace::global().span("bind");
-            cstore_sql::bind_union(branches, &catalog)?
-        };
-        self.run_plan(plan, &catalog, snaps)
+    fn bind(stmt: &Statement, catalog: &SysCatalog<'_>) -> Result<cstore_planner::LogicalPlan> {
+        let _span = cstore_common::trace::global().span("bind");
+        match stmt {
+            Statement::Select(s) => bind_select(s, catalog),
+            Statement::UnionAll(branches) => cstore_sql::bind_union(branches, catalog),
+            other => Err(Error::Unsupported(format!(
+                "EXPLAIN supports SELECT only, got {other:?}"
+            ))),
+        }
     }
 
+    /// Optimize, lower and drain one bound plan — the single pipeline
+    /// under SELECT, UNION ALL and EXPLAIN ANALYZE. However it ends,
+    /// `exec` is left holding what the plan did, so a query that fails
+    /// mid-execution still reports the work it performed.
     fn run_plan(
         &self,
         plan: cstore_planner::LogicalPlan,
         catalog: &dyn cstore_planner::CatalogProvider,
         snaps: Option<Arc<HashMap<String, TableSnapshot>>>,
-    ) -> Result<QueryResult> {
+        exec: &mut ExecProfile,
+    ) -> Result<PlanRun> {
         let start = Instant::now();
         let plan = {
             let _span = cstore_common::trace::global().span("optimize");
             optimize(plan, catalog)?
         };
-        let fields = plan.output_fields()?;
-        let columns: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-        let types: Vec<DataType> = fields.iter().map(|f| f.data_type).collect();
-        // Each query gets its own metrics/operator-stats fork so the
-        // result reports *this* query's counters; the fork is folded back
-        // into the cumulative context metrics below.
+        // Each query gets its own metrics/operator-stats fork so `exec`
+        // reports *this* query's counters; `finish_query` folds them
+        // into the cumulative context metrics.
         let qctx = self
             .ctx
             .for_query()
             .with_deadline(self.query_deadline())
             .with_snapshots(snaps);
-        let phys = {
-            let _span = cstore_common::trace::global().span("build_physical");
-            build_physical(&plan, catalog, &qctx, self.mode)?
-        };
-        let mode = phys.mode;
-        let rows = {
+        let drained = (|| -> Result<_> {
+            let phys = {
+                let _span = cstore_common::trace::global().span("build_physical");
+                build_physical(&plan, catalog, &qctx, self.mode)?
+            };
             let _span = cstore_common::trace::global().span("execute");
-            collect_rows(phys.root)?
-        };
-        let elapsed = start.elapsed();
-        self.finish_query(&qctx, elapsed);
-        Ok(QueryResult::Rows {
-            columns,
-            types,
+            Ok((phys.mode, phys.bitmap_filters, collect_rows(phys.root)?))
+        })();
+        *exec = qctx.profile(start.elapsed());
+        let (mode, bitmap_filters, rows) = drained?;
+        exec.rows_returned = rows.len() as u64;
+        Ok(PlanRun {
+            plan,
             rows,
             mode,
-            metrics: qctx.metrics.snapshot(),
-            plan_root: Some(cstore_planner::physical::node_label(&plan)),
-            elapsed,
+            bitmap_filters,
         })
     }
 
-    /// Fold one finished query's counters into the cumulative context
-    /// metrics and the process-wide registry.
-    fn finish_query(&self, qctx: &ExecContext, elapsed: Duration) {
-        qctx.metrics.merge_into(&self.ctx.metrics);
-        let reg = metrics::global();
-        reg.counter("cstore_queries_total").inc();
-        reg.observe(
-            "cstore_query_latency_us",
-            &LATENCY_BUCKETS_US,
-            u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-        );
-        for (name, v) in qctx.metrics.snapshot() {
-            reg.add(&format!("cstore_query_{name}_total"), v);
-        }
-    }
-
+    /// EXPLAIN renders the optimized plan; EXPLAIN ANALYZE runs it through
+    /// [`Database::run_plan`] first and annotates the rendering with the
+    /// resulting profile — each operator's actual rows/batches/time and
+    /// the query's scan, bitmap-filter, join, spill and wait actuals.
     pub(crate) fn run_explain(
         &self,
-        stmt: Statement,
+        stmt: &Statement,
         analyze: bool,
         snaps: Option<Arc<HashMap<String, TableSnapshot>>>,
+        exec: &mut ExecProfile,
     ) -> Result<QueryResult> {
         let catalog = SysCatalog::new(&self.catalog, self);
-        let plan = match stmt {
-            Statement::Select(s) => bind_select(&s, &catalog)?,
-            Statement::UnionAll(branches) => cstore_sql::bind_union(&branches, &catalog)?,
-            other => {
-                return Err(Error::Unsupported(format!(
-                    "EXPLAIN supports SELECT only, got {other:?}"
-                )))
-            }
-        };
-        if analyze {
-            self.explain_analyze_plan(plan, &catalog, snaps)
+        let plan = Self::bind(stmt, &catalog)?;
+        let (mut text, bitmap_filters) = if analyze {
+            let run = self.run_plan(plan, &catalog, snaps, exec)?;
+            let text = explain_analyze(&run.plan, &catalog, self.mode, exec);
+            (text, run.bitmap_filters)
         } else {
-            self.explain_plan(plan, &catalog)
-        }
-    }
-
-    fn explain_plan(
-        &self,
-        plan: cstore_planner::LogicalPlan,
-        catalog: &dyn cstore_planner::CatalogProvider,
-    ) -> Result<QueryResult> {
-        let plan = optimize(plan, catalog)?;
-        let mut text = explain(&plan, catalog, self.mode);
-        // Physical annotations: what lowering would actually build.
-        let phys = build_physical(&plan, catalog, &self.ctx, self.mode)?;
+            let plan = optimize(plan, &catalog)?;
+            // Physical annotations: what lowering would actually build.
+            let phys = build_physical(&plan, &catalog, &self.ctx, self.mode)?;
+            (explain(&plan, &catalog, self.mode), phys.bitmap_filters)
+        };
         text.push_str(&format!(
-            "physical: bitmap_filters={}, scan_parallelism={}\n",
-            phys.bitmap_filters, self.ctx.parallelism
-        ));
-        Ok(QueryResult::Explain(text))
-    }
-
-    /// EXPLAIN ANALYZE: execute the plan, then render it annotated with
-    /// each operator's actual rows/batches/time and the query's scan,
-    /// bitmap-filter, join and spill counters.
-    fn explain_analyze_plan(
-        &self,
-        plan: cstore_planner::LogicalPlan,
-        catalog: &dyn cstore_planner::CatalogProvider,
-        snaps: Option<Arc<HashMap<String, TableSnapshot>>>,
-    ) -> Result<QueryResult> {
-        let start = Instant::now();
-        let plan = optimize(plan, catalog)?;
-        let qctx = self
-            .ctx
-            .for_query()
-            .with_deadline(self.query_deadline())
-            .with_snapshots(snaps);
-        let phys = build_physical(&plan, catalog, &qctx, self.mode)?;
-        let rows = collect_rows(phys.root)?;
-        let elapsed = start.elapsed();
-        self.finish_query(&qctx, elapsed);
-        let mut text = explain_analyze(
-            &plan,
-            catalog,
-            self.mode,
-            &qctx.stats,
-            &qctx.metrics,
-            &qctx.waits,
-            rows.len(),
-            elapsed,
-        );
-        text.push_str(&format!(
-            "physical: bitmap_filters={}, scan_parallelism={}\n",
-            phys.bitmap_filters, qctx.parallelism
+            "physical: bitmap_filters={bitmap_filters}, scan_parallelism={}\n",
+            self.ctx.parallelism
         ));
         Ok(QueryResult::Explain(text))
     }

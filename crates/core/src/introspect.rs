@@ -22,7 +22,8 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cstore_common::{DataType, Field, FxHashMap, Row, Schema, Value};
+use cstore_common::DataType::{self, Float64, Int64, Utf8};
+use cstore_common::{Field, FxHashMap, Row, Schema, Value};
 use cstore_delta::{ColumnStoreTable, TableIntrospection};
 use cstore_planner::catalog::{CatalogProvider, TableRef, VirtualTable};
 use cstore_storage::encode::{PayloadKind, PrimaryEncoding};
@@ -30,21 +31,6 @@ use cstore_storage::{CompressedRowGroup, CompressionLevel, QuarantinedKind};
 
 use crate::catalog::TableEntry;
 use crate::database::Database;
-
-/// The names the binder recognizes as virtual tables.
-pub const SYS_VIEW_NAMES: [&str; 11] = [
-    "sys.row_groups",
-    "sys.column_segments",
-    "sys.dictionaries",
-    "sys.tuple_mover",
-    "sys.query_log",
-    "sys.wal",
-    "sys.lock_stats",
-    "sys.resource_governor",
-    "sys.wait_stats",
-    "sys.query_store",
-    "sys.transactions",
-];
 
 /// Snapshot-materializer for the `sys.*` views: implemented by
 /// [`Database`], consumed by [`SysCatalog`]. Implementations must not
@@ -99,42 +85,62 @@ impl CatalogProvider for SysCatalog<'_> {
     }
 }
 
-// ------------------------------------------------------------ query log
+// ---------------------------------------------- the statement record
 
-/// Outcome of a logged query.
-#[derive(Clone, Debug)]
-pub enum QueryOutcome {
-    Ok {
-        rows: usize,
-        batches: u64,
-        plan_root: Option<String>,
-    },
-    /// The error string; errored queries stay in the ring.
-    Error(String),
+/// How a statement ended, as `sys.query_log.status` spells it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum QueryStatus {
+    Ok,
+    Error,
     /// A successful `ROLLBACK` (distinct from errors: nothing failed,
     /// but the transaction's work was discarded).
-    RolledBack,
-    /// A write-write conflict aborted the statement or transaction;
-    /// carries the conflict message.
-    Conflict(String),
+    Rollback,
+    /// A write-write conflict aborted the statement or transaction.
+    Conflict,
 }
 
-/// One entry of the recent-query ring.
-#[derive(Clone, Debug)]
-pub struct QueryLogEntry {
-    pub id: u64,
+impl QueryStatus {
+    pub fn as_str(self) -> &'static str {
+        match self {
+            QueryStatus::Ok => "OK",
+            QueryStatus::Error => "ERROR",
+            QueryStatus::Rollback => "ROLLBACK",
+            QueryStatus::Conflict => "CONFLICT",
+        }
+    }
+}
+
+/// The one record of a finished statement. `Database::execute` builds
+/// exactly one per statement and it is the only thing `sys.query_log`,
+/// the Query Store and the metrics registry are told about it (EXPLAIN
+/// ANALYZE renders its `exec` half), so those surfaces cannot disagree.
+pub struct QueryProfile {
     pub text: String,
-    /// Normalized shape hash (literals → `?`), joinable against
-    /// `sys.query_store.query_hash`.
-    pub query_hash: u64,
-    pub duration: Duration,
-    pub outcome: QueryOutcome,
+    /// Normalized shape (literals → `?`): the hash `sys.query_log` and
+    /// `sys.query_store` join on, and the template text.
+    pub shape: cstore_sql::QueryShape,
+    pub status: QueryStatus,
+    /// Whether the error was the `SET query_timeout_ms` deadline.
+    pub timed_out: bool,
+    /// The error string; failed statements are recorded, not dropped.
+    pub error: Option<String>,
+    /// The whole statement, admission queueing included.
+    pub elapsed: Duration,
+    /// What the statement's plan did: rows, counters, per-operator
+    /// stats, waits. All zero (but for the waits) when it ran no plan.
+    pub exec: cstore_exec::ExecProfile,
 }
 
-/// Bounded ring of the last N queries (successes *and* errors).
-#[derive(Debug)]
+impl QueryProfile {
+    pub fn elapsed_us(&self) -> u64 {
+        u64::try_from(self.elapsed.as_micros()).unwrap_or(u64::MAX)
+    }
+}
+
+/// Bounded ring of the last N statements' profiles (successes *and*
+/// errors).
 pub struct QueryLog {
-    entries: std::collections::VecDeque<QueryLogEntry>,
+    entries: std::collections::VecDeque<QueryProfile>,
     capacity: usize,
     next_id: u64,
 }
@@ -153,23 +159,11 @@ impl Default for QueryLog {
 }
 
 impl QueryLog {
-    pub fn record(
-        &mut self,
-        text: &str,
-        query_hash: u64,
-        duration: Duration,
-        outcome: QueryOutcome,
-    ) {
+    pub fn record(&mut self, profile: QueryProfile) {
         while self.entries.len() >= self.capacity.max(1) {
             self.entries.pop_front();
         }
-        self.entries.push_back(QueryLogEntry {
-            id: self.next_id,
-            text: text.to_owned(),
-            query_hash,
-            duration,
-            outcome,
-        });
+        self.entries.push_back(profile);
         self.next_id += 1;
     }
 
@@ -186,8 +180,10 @@ impl QueryLog {
         self.capacity
     }
 
-    pub fn entries(&self) -> impl Iterator<Item = &QueryLogEntry> {
-        self.entries.iter()
+    /// `(query id, profile)`, oldest first. Ids are consecutive, so the
+    /// ring's are the last `len` issued.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, &QueryProfile)> {
+        (self.next_id - self.entries.len() as u64..).zip(&self.entries)
     }
 }
 
@@ -206,10 +202,6 @@ fn opt_str(v: Option<String>) -> Value {
         Some(s) => Value::str(s),
         None => Value::Null,
     }
-}
-
-fn field(name: &str, ty: DataType, nullable: bool) -> Field {
-    Field::new(name, ty, nullable)
 }
 
 /// Deterministic dictionary ids, stable across views so
@@ -307,16 +299,7 @@ fn columnstores(db: &Database) -> Vec<(String, ColumnStoreTable)> {
     out
 }
 
-pub(crate) fn row_groups_view(db: &Database) -> VirtualTable {
-    let schema = Schema::new(vec![
-        field("table_name", DataType::Utf8, false),
-        field("group_id", DataType::Int64, true),
-        field("state", DataType::Utf8, false),
-        field("total_rows", DataType::Int64, true),
-        field("deleted_rows", DataType::Int64, true),
-        field("bytes", DataType::Int64, true),
-        field("generation", DataType::Int64, false),
-    ]);
+fn row_groups_rows(db: &Database) -> Vec<Row> {
     let generation = int_u64(db.open_report().generation);
     let mut rows = Vec::new();
     for (name, t) in columnstores(db) {
@@ -372,25 +355,10 @@ pub(crate) fn row_groups_view(db: &Database) -> VirtualTable {
             ]));
         }
     }
-    VirtualTable::new("sys.row_groups", schema, rows)
+    rows
 }
 
-pub(crate) fn column_segments_view(db: &Database) -> VirtualTable {
-    let schema = Schema::new(vec![
-        field("table_name", DataType::Utf8, false),
-        field("group_id", DataType::Int64, false),
-        field("column_id", DataType::Int64, false),
-        field("column_name", DataType::Utf8, false),
-        field("encoding", DataType::Utf8, false),
-        field("row_count", DataType::Int64, false),
-        field("null_count", DataType::Int64, false),
-        field("min_value", DataType::Utf8, true),
-        field("max_value", DataType::Utf8, true),
-        field("dictionary_id", DataType::Int64, true),
-        field("encoded_bytes", DataType::Int64, false),
-        field("raw_bytes", DataType::Int64, false),
-        field("compression_ratio", DataType::Float64, false),
-    ]);
+fn column_segments_rows(db: &Database) -> Vec<Row> {
     let mut rows = Vec::new();
     for (t_ord, (name, t)) in columnstores(db).into_iter().enumerate() {
         let intro = t.introspect();
@@ -419,19 +387,10 @@ pub(crate) fn column_segments_view(db: &Database) -> VirtualTable {
             }
         }
     }
-    VirtualTable::new("sys.column_segments", schema, rows)
+    rows
 }
 
-pub(crate) fn dictionaries_view(db: &Database) -> VirtualTable {
-    let schema = Schema::new(vec![
-        field("table_name", DataType::Utf8, false),
-        field("dictionary_id", DataType::Int64, false),
-        field("column_id", DataType::Int64, false),
-        field("column_name", DataType::Utf8, false),
-        field("scope", DataType::Utf8, false),
-        field("entries", DataType::Int64, false),
-        field("bytes", DataType::Int64, false),
-    ]);
+fn dictionaries_rows(db: &Database) -> Vec<Row> {
     let mut rows = Vec::new();
     for (t_ord, (name, t)) in columnstores(db).into_iter().enumerate() {
         let intro = t.introspect();
@@ -479,21 +438,10 @@ pub(crate) fn dictionaries_view(db: &Database) -> VirtualTable {
             }
         }
     }
-    VirtualTable::new("sys.dictionaries", schema, rows)
+    rows
 }
 
-pub(crate) fn tuple_mover_view(db: &Database) -> VirtualTable {
-    let schema = Schema::new(vec![
-        field("table_name", DataType::Utf8, false),
-        field("state", DataType::Utf8, false),
-        field("passes", DataType::Int64, false),
-        field("stores_moved", DataType::Int64, false),
-        field("rows_moved", DataType::Int64, false),
-        field("transient_retries", DataType::Int64, false),
-        field("restarts", DataType::Int64, false),
-        field("consecutive_failures", DataType::Int64, false),
-        field("last_error", DataType::Utf8, true),
-    ]);
+fn tuple_mover_rows(db: &Database) -> Vec<Row> {
     let mut rows = Vec::new();
     for (table, status) in db.mover_statuses() {
         rows.push(Row::new(vec![
@@ -508,94 +456,42 @@ pub(crate) fn tuple_mover_view(db: &Database) -> VirtualTable {
             opt_str(status.last_error),
         ]));
     }
-    VirtualTable::new("sys.tuple_mover", schema, rows)
+    rows
 }
 
-pub(crate) fn query_log_view(db: &Database) -> VirtualTable {
-    let schema = Schema::new(vec![
-        field("query_id", DataType::Int64, false),
-        field("query", DataType::Utf8, false),
-        field("query_hash", DataType::Utf8, false),
-        field("status", DataType::Utf8, false),
-        field("error", DataType::Utf8, true),
-        field("duration_us", DataType::Int64, false),
-        field("rows", DataType::Int64, true),
-        field("batches", DataType::Int64, true),
-        field("plan_root", DataType::Utf8, true),
-    ]);
-    let mut rows = Vec::new();
+/// One row per retained statement. `rows`, `batches` and `plan_root`
+/// describe a statement that completed; they are null for one that did
+/// not.
+fn query_log_rows(db: &Database) -> Vec<Row> {
     db.with_query_log(|log| {
-        for e in log.entries() {
-            let duration = int_u64(u64::try_from(e.duration.as_micros()).unwrap_or(u64::MAX));
-            let hash = Value::str(format!("{:016x}", e.query_hash));
-            let row = match &e.outcome {
-                QueryOutcome::Ok {
-                    rows: n,
-                    batches,
-                    plan_root,
-                } => Row::new(vec![
-                    int_u64(e.id),
-                    Value::str(e.text.clone()),
-                    hash,
-                    Value::str("OK"),
-                    Value::Null,
-                    duration,
-                    int(*n),
-                    int_u64(*batches),
-                    opt_str(plan_root.clone()),
-                ]),
-                QueryOutcome::Error(err) => Row::new(vec![
-                    int_u64(e.id),
-                    Value::str(e.text.clone()),
-                    hash,
-                    Value::str("ERROR"),
-                    Value::str(err.clone()),
-                    duration,
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                ]),
-                QueryOutcome::RolledBack => Row::new(vec![
-                    int_u64(e.id),
-                    Value::str(e.text.clone()),
-                    hash,
-                    Value::str("ROLLBACK"),
-                    Value::Null,
-                    duration,
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                ]),
-                QueryOutcome::Conflict(err) => Row::new(vec![
-                    int_u64(e.id),
-                    Value::str(e.text.clone()),
-                    hash,
-                    Value::str("CONFLICT"),
-                    Value::str(err.clone()),
-                    duration,
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                ]),
-            };
-            rows.push(row);
-        }
-    });
-    VirtualTable::new("sys.query_log", schema, rows)
+        log.entries()
+            .map(|(id, p)| {
+                let if_ok = |v: Value| match p.status {
+                    QueryStatus::Ok => v,
+                    _ => Value::Null,
+                };
+                let plan_root = p.exec.operators.first().map(|op| op.label.clone());
+                Row::new(vec![
+                    int_u64(id),
+                    Value::str(p.text.clone()),
+                    Value::str(format!("{:016x}", p.shape.hash)),
+                    Value::str(p.status.as_str()),
+                    opt_str(p.error.clone()),
+                    int_u64(p.elapsed_us()),
+                    if_ok(int_u64(p.exec.rows_returned)),
+                    if_ok(int_u64(p.exec.counters.batches)),
+                    if_ok(opt_str(plan_root)),
+                ])
+            })
+            .collect()
+    })
 }
 
 /// One row per wait class with any recorded waits (process-wide
 /// accumulator, cumulative since start — the engine's
 /// `sys.dm_os_wait_stats`).
-pub(crate) fn wait_stats_view() -> VirtualTable {
-    let schema = Schema::new(vec![
-        field("wait_class", DataType::Utf8, false),
-        field("wait_count", DataType::Int64, false),
-        field("total_wait_ns", DataType::Int64, false),
-        field("max_wait_ns", DataType::Int64, false),
-        field("avg_wait_us", DataType::Float64, false),
-    ]);
-    let rows = cstore_common::waits::global_snapshot()
+fn wait_stats_rows(_: &Database) -> Vec<Row> {
+    cstore_common::waits::global_snapshot()
         .into_iter()
         .map(|s| {
             let avg_us = if s.count > 0 {
@@ -611,31 +507,13 @@ pub(crate) fn wait_stats_view() -> VirtualTable {
                 Value::Float64(avg_us),
             ])
         })
-        .collect();
-    VirtualTable::new("sys.wait_stats", schema, rows)
+        .collect()
 }
 
 /// One row per (interval, query shape): the Query Store surface.
 /// `query_hash` is the same hex form `sys.query_log.query_hash` uses,
 /// so the two views join directly.
-pub(crate) fn query_store_view(db: &Database) -> VirtualTable {
-    let schema = Schema::new(vec![
-        field("interval_start_ms", DataType::Int64, false),
-        field("query_hash", DataType::Utf8, false),
-        field("query_shape", DataType::Utf8, false),
-        field("executions", DataType::Int64, false),
-        field("failures", DataType::Int64, false),
-        field("timeouts", DataType::Int64, false),
-        field("rows_returned", DataType::Int64, false),
-        field("avg_elapsed_us", DataType::Float64, false),
-        field("p50_elapsed_us", DataType::Int64, false),
-        field("p99_elapsed_us", DataType::Int64, false),
-        field("max_elapsed_us", DataType::Int64, false),
-        field("total_wait_ns", DataType::Int64, false),
-        field("waits", DataType::Utf8, true),
-        field("spill_partitions", DataType::Int64, false),
-        field("spill_bytes", DataType::Int64, false),
-    ]);
+fn query_store_rows(db: &Database) -> Vec<Row> {
     let mut rows = Vec::new();
     for interval in db.query_store().snapshot() {
         for shape in interval.shapes.values() {
@@ -669,25 +547,15 @@ pub(crate) fn query_store_view(db: &Database) -> VirtualTable {
             ]));
         }
     }
-    VirtualTable::new("sys.query_store", schema, rows)
+    rows
 }
 
 /// One row per transaction: active ones first (by id), then the
 /// recently finished ring (newest last). `commit_lsn` is null for
 /// anything but a committed transaction; `abort_reason` records why an
 /// aborted one ended (ROLLBACK, conflict, or the poisoning error).
-pub(crate) fn transactions_view(db: &Database) -> VirtualTable {
-    let schema = Schema::new(vec![
-        field("txn_id", DataType::Int64, false),
-        field("state", DataType::Utf8, false),
-        field("statements", DataType::Int64, false),
-        field("write_ops", DataType::Int64, false),
-        field("snapshot_lsn", DataType::Int64, false),
-        field("commit_lsn", DataType::Int64, true),
-        field("abort_reason", DataType::Utf8, true),
-    ]);
-    let rows = db
-        .txns()
+fn transactions_rows(db: &Database) -> Vec<Row> {
+    db.txns()
         .view_rows()
         .into_iter()
         .map(|t| {
@@ -701,35 +569,13 @@ pub(crate) fn transactions_view(db: &Database) -> VirtualTable {
                 opt_str(t.abort_reason),
             ])
         })
-        .collect();
-    VirtualTable::new("sys.transactions", schema, rows)
+        .collect()
 }
 
 /// One row per attached WAL (zero rows when the database runs without
 /// one): segment layout, LSN watermarks, the last checkpoint and the
 /// cumulative durability counters.
-pub(crate) fn wal_view(db: &Database) -> VirtualTable {
-    let schema = Schema::new(vec![
-        field("segment_count", DataType::Int64, false),
-        field("active_segment", DataType::Int64, false),
-        field("tail_lsn", DataType::Int64, false),
-        field("durable_lsn", DataType::Int64, false),
-        field("sync_mode", DataType::Utf8, false),
-        field("checkpoint_generation", DataType::Int64, true),
-        field("checkpoint_lsn", DataType::Int64, true),
-        field("records_appended", DataType::Int64, false),
-        field("bytes_appended", DataType::Int64, false),
-        field("fsyncs", DataType::Int64, false),
-        field("flushes", DataType::Int64, false),
-        field("checkpoints", DataType::Int64, false),
-        field("segments_retired", DataType::Int64, false),
-        field("records_replayed", DataType::Int64, false),
-        field("records_truncated", DataType::Int64, false),
-        field("segments_quarantined", DataType::Int64, false),
-        field("failed", DataType::Utf8, true),
-        field("state", DataType::Utf8, false),
-        field("last_error", DataType::Utf8, true),
-    ]);
+fn wal_rows(db: &Database) -> Vec<Row> {
     let mut rows = Vec::new();
     if let Some(s) = db.wal_status() {
         let opt_lsn = |v: Option<u64>| v.map_or(Value::Null, int_u64);
@@ -756,7 +602,7 @@ pub(crate) fn wal_view(db: &Database) -> VirtualTable {
             opt_str(s.failed),
         ]));
     }
-    VirtualTable::new("sys.wal", schema, rows)
+    rows
 }
 
 /// One row per leveled lock registered with the runtime lockdep layer
@@ -764,17 +610,8 @@ pub(crate) fn wal_view(db: &Database) -> VirtualTable {
 /// contention counters, cumulative wait time, the longest observed hold,
 /// and the count of lock-order violations observed at runtime (always 0
 /// under `cfg(test)`/the `lockdep` feature, where a violation panics).
-pub(crate) fn lock_stats_view() -> VirtualTable {
-    let schema = Schema::new(vec![
-        field("level", DataType::Int64, false),
-        field("name", DataType::Utf8, false),
-        field("acquisitions", DataType::Int64, false),
-        field("contended", DataType::Int64, false),
-        field("total_wait_ns", DataType::Int64, false),
-        field("max_hold_ns", DataType::Int64, false),
-        field("violations", DataType::Int64, false),
-    ]);
-    let rows = cstore_common::sync::lock_stats()
+fn lock_stats_rows(_: &Database) -> Vec<Row> {
+    cstore_common::sync::lock_stats()
         .into_iter()
         .map(|s| {
             Row::new(vec![
@@ -787,36 +624,15 @@ pub(crate) fn lock_stats_view() -> VirtualTable {
                 int_u64(s.violations),
             ])
         })
-        .collect();
-    VirtualTable::new("sys.lock_stats", schema, rows)
+        .collect()
 }
 
 /// A single row summarizing the resource governor: admission-gate
 /// occupancy, the shared memory ledger, delta backpressure counters and
 /// the health state machine. Counters are cumulative since process start.
-pub(crate) fn resource_governor_view(db: &Database) -> VirtualTable {
-    let schema = Schema::new(vec![
-        field("admission_running", DataType::Int64, false),
-        field("admission_queued", DataType::Int64, false),
-        field("max_concurrent_queries", DataType::Int64, false),
-        field("admitted_total", DataType::Int64, false),
-        field("admission_rejected_total", DataType::Int64, false),
-        field("admission_timeouts_total", DataType::Int64, false),
-        field("mem_reserved_bytes", DataType::Int64, false),
-        field("mem_peak_bytes", DataType::Int64, false),
-        field("mem_limit_bytes", DataType::Int64, false),
-        field("mem_exhausted_total", DataType::Int64, false),
-        field("delta_high_water_mark", DataType::Int64, false),
-        field("backpressure_waits_total", DataType::Int64, false),
-        field("backpressure_rejected_total", DataType::Int64, false),
-        field("health_state", DataType::Utf8, false),
-        field("health_cause", DataType::Utf8, true),
-        field("degraded_total", DataType::Int64, false),
-        field("write_rejects_total", DataType::Int64, false),
-        field("recovery_probes_total", DataType::Int64, false),
-    ]);
+fn resource_governor_rows(db: &Database) -> Vec<Row> {
     let s = db.governor().snapshot();
-    let rows = vec![Row::new(vec![
+    vec![Row::new(vec![
         int_u64(s.admission_running),
         int_u64(s.admission_queued),
         int_u64(s.admission_max_concurrent),
@@ -835,25 +651,222 @@ pub(crate) fn resource_governor_view(db: &Database) -> VirtualTable {
         int_u64(s.degraded_total),
         int_u64(s.write_rejects_total),
         int_u64(s.recovery_probes_total),
-    ])];
-    VirtualTable::new("sys.resource_governor", schema, rows)
+    ])]
 }
+
+/// One `sys.*` view: its name, its columns as `(name, type, nullable)`,
+/// and the function that materializes its rows from a point-in-time
+/// snapshot of the database.
+struct SysView {
+    name: &'static str,
+    columns: &'static [(&'static str, DataType, bool)],
+    rows: fn(&Database) -> Vec<Row>,
+}
+
+/// Every view there is. The binder's name list and the dispatch below
+/// both derive from this table.
+const SYS_VIEWS: [SysView; 11] = [
+    SysView {
+        name: "sys.row_groups",
+        columns: &[
+            ("table_name", Utf8, false),
+            ("group_id", Int64, true),
+            ("state", Utf8, false),
+            ("total_rows", Int64, true),
+            ("deleted_rows", Int64, true),
+            ("bytes", Int64, true),
+            ("generation", Int64, false),
+        ],
+        rows: row_groups_rows,
+    },
+    SysView {
+        name: "sys.column_segments",
+        columns: &[
+            ("table_name", Utf8, false),
+            ("group_id", Int64, false),
+            ("column_id", Int64, false),
+            ("column_name", Utf8, false),
+            ("encoding", Utf8, false),
+            ("row_count", Int64, false),
+            ("null_count", Int64, false),
+            ("min_value", Utf8, true),
+            ("max_value", Utf8, true),
+            ("dictionary_id", Int64, true),
+            ("encoded_bytes", Int64, false),
+            ("raw_bytes", Int64, false),
+            ("compression_ratio", Float64, false),
+        ],
+        rows: column_segments_rows,
+    },
+    SysView {
+        name: "sys.dictionaries",
+        columns: &[
+            ("table_name", Utf8, false),
+            ("dictionary_id", Int64, false),
+            ("column_id", Int64, false),
+            ("column_name", Utf8, false),
+            ("scope", Utf8, false),
+            ("entries", Int64, false),
+            ("bytes", Int64, false),
+        ],
+        rows: dictionaries_rows,
+    },
+    SysView {
+        name: "sys.tuple_mover",
+        columns: &[
+            ("table_name", Utf8, false),
+            ("state", Utf8, false),
+            ("passes", Int64, false),
+            ("stores_moved", Int64, false),
+            ("rows_moved", Int64, false),
+            ("transient_retries", Int64, false),
+            ("restarts", Int64, false),
+            ("consecutive_failures", Int64, false),
+            ("last_error", Utf8, true),
+        ],
+        rows: tuple_mover_rows,
+    },
+    SysView {
+        name: "sys.query_log",
+        columns: &[
+            ("query_id", Int64, false),
+            ("query", Utf8, false),
+            ("query_hash", Utf8, false),
+            ("status", Utf8, false),
+            ("error", Utf8, true),
+            ("duration_us", Int64, false),
+            ("rows", Int64, true),
+            ("batches", Int64, true),
+            ("plan_root", Utf8, true),
+        ],
+        rows: query_log_rows,
+    },
+    SysView {
+        name: "sys.wal",
+        columns: &[
+            ("segment_count", Int64, false),
+            ("active_segment", Int64, false),
+            ("tail_lsn", Int64, false),
+            ("durable_lsn", Int64, false),
+            ("sync_mode", Utf8, false),
+            ("checkpoint_generation", Int64, true),
+            ("checkpoint_lsn", Int64, true),
+            ("records_appended", Int64, false),
+            ("bytes_appended", Int64, false),
+            ("fsyncs", Int64, false),
+            ("flushes", Int64, false),
+            ("checkpoints", Int64, false),
+            ("segments_retired", Int64, false),
+            ("records_replayed", Int64, false),
+            ("records_truncated", Int64, false),
+            ("segments_quarantined", Int64, false),
+            ("failed", Utf8, true),
+            ("state", Utf8, false),
+            ("last_error", Utf8, true),
+        ],
+        rows: wal_rows,
+    },
+    SysView {
+        name: "sys.lock_stats",
+        columns: &[
+            ("level", Int64, false),
+            ("name", Utf8, false),
+            ("acquisitions", Int64, false),
+            ("contended", Int64, false),
+            ("total_wait_ns", Int64, false),
+            ("max_hold_ns", Int64, false),
+            ("violations", Int64, false),
+        ],
+        rows: lock_stats_rows,
+    },
+    SysView {
+        name: "sys.resource_governor",
+        columns: &[
+            ("admission_running", Int64, false),
+            ("admission_queued", Int64, false),
+            ("max_concurrent_queries", Int64, false),
+            ("admitted_total", Int64, false),
+            ("admission_rejected_total", Int64, false),
+            ("admission_timeouts_total", Int64, false),
+            ("mem_reserved_bytes", Int64, false),
+            ("mem_peak_bytes", Int64, false),
+            ("mem_limit_bytes", Int64, false),
+            ("mem_exhausted_total", Int64, false),
+            ("delta_high_water_mark", Int64, false),
+            ("backpressure_waits_total", Int64, false),
+            ("backpressure_rejected_total", Int64, false),
+            ("health_state", Utf8, false),
+            ("health_cause", Utf8, true),
+            ("degraded_total", Int64, false),
+            ("write_rejects_total", Int64, false),
+            ("recovery_probes_total", Int64, false),
+        ],
+        rows: resource_governor_rows,
+    },
+    SysView {
+        name: "sys.wait_stats",
+        columns: &[
+            ("wait_class", Utf8, false),
+            ("wait_count", Int64, false),
+            ("total_wait_ns", Int64, false),
+            ("max_wait_ns", Int64, false),
+            ("avg_wait_us", Float64, false),
+        ],
+        rows: wait_stats_rows,
+    },
+    SysView {
+        name: "sys.query_store",
+        columns: &[
+            ("interval_start_ms", Int64, false),
+            ("query_hash", Utf8, false),
+            ("query_shape", Utf8, false),
+            ("executions", Int64, false),
+            ("failures", Int64, false),
+            ("timeouts", Int64, false),
+            ("rows_returned", Int64, false),
+            ("avg_elapsed_us", Float64, false),
+            ("p50_elapsed_us", Int64, false),
+            ("p99_elapsed_us", Int64, false),
+            ("max_elapsed_us", Int64, false),
+            ("total_wait_ns", Int64, false),
+            ("waits", Utf8, true),
+            ("spill_partitions", Int64, false),
+            ("spill_bytes", Int64, false),
+        ],
+        rows: query_store_rows,
+    },
+    SysView {
+        name: "sys.transactions",
+        columns: &[
+            ("txn_id", Int64, false),
+            ("state", Utf8, false),
+            ("statements", Int64, false),
+            ("write_ops", Int64, false),
+            ("snapshot_lsn", Int64, false),
+            ("commit_lsn", Int64, true),
+            ("abort_reason", Utf8, true),
+        ],
+        rows: transactions_rows,
+    },
+];
+
+/// The names the binder recognizes as virtual tables.
+pub const SYS_VIEW_NAMES: [&str; SYS_VIEWS.len()] = {
+    let mut names = [""; SYS_VIEWS.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = SYS_VIEWS[i].name;
+        i += 1;
+    }
+    names
+};
 
 impl Introspection for Database {
     fn sys_view(&self, name: &str) -> Option<VirtualTable> {
-        match name {
-            "sys.row_groups" => Some(row_groups_view(self)),
-            "sys.column_segments" => Some(column_segments_view(self)),
-            "sys.dictionaries" => Some(dictionaries_view(self)),
-            "sys.tuple_mover" => Some(tuple_mover_view(self)),
-            "sys.query_log" => Some(query_log_view(self)),
-            "sys.wal" => Some(wal_view(self)),
-            "sys.lock_stats" => Some(lock_stats_view()),
-            "sys.resource_governor" => Some(resource_governor_view(self)),
-            "sys.wait_stats" => Some(wait_stats_view()),
-            "sys.query_store" => Some(query_store_view(self)),
-            "sys.transactions" => Some(transactions_view(self)),
-            _ => None,
-        }
+        let view = SYS_VIEWS.iter().find(|v| v.name == name)?;
+        let columns = view.columns.iter();
+        let fields = columns.map(|&(name, ty, nullable)| Field::new(name, ty, nullable));
+        let schema = Schema::new(fields.collect());
+        Some(VirtualTable::new(view.name, schema, (view.rows)(self)))
     }
 }

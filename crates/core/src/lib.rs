@@ -17,8 +17,8 @@ pub use catalog::{Catalog, TableEntry};
 pub use cstore_planner::ExecMode;
 pub use database::{Database, QueryResult, TxnAck};
 pub use introspect::{
-    Introspection, QueryLog, QueryLogEntry, QueryOutcome, SysCatalog, SYS_VIEW_NAMES,
+    Introspection, QueryLog, QueryProfile, QueryStatus, SysCatalog, SYS_VIEW_NAMES,
 };
 pub use persist::{OpenMode, OpenReport, TableOpenReport, VerifyReport};
-pub use query_store::{QuerySample, QueryStore};
+pub use query_store::QueryStore;
 pub use txn::{TxnInfo, TxnManager, TxnState};

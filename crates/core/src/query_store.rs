@@ -17,13 +17,14 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use cstore_common::metrics::{quantile_from_cumulative, LATENCY_BUCKETS_US};
 use cstore_common::sync::Mutex;
-use cstore_common::waits::WaitSnapshot;
 use cstore_common::{convert, Error, Result};
 use cstore_storage::format::{Reader, Writer};
+
+use crate::introspect::{QueryProfile, QueryStatus};
 
 /// Default interval width: one minute, SQL Server Query Store's finest
 /// `INTERVAL_LENGTH_MINUTES` granularity.
@@ -36,20 +37,6 @@ pub const DEFAULT_MAX_SHAPES: usize = 512;
 
 const BLOB_MAGIC: u32 = 0x5153_5452; // "QSTR"
 const BLOB_VERSION: u16 = 1;
-
-/// One finished statement, as reported by `Database::execute`.
-#[derive(Clone, Debug)]
-pub struct QuerySample {
-    pub shape_hash: u64,
-    pub shape_text: String,
-    pub elapsed: Duration,
-    pub rows: u64,
-    pub failed: bool,
-    pub timed_out: bool,
-    pub waits: Vec<WaitSnapshot>,
-    pub spill_partitions: u64,
-    pub spill_bytes: u64,
-}
 
 /// Per-class wait totals inside one shape aggregate.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -96,12 +83,12 @@ impl ShapeAgg {
         }
     }
 
-    fn absorb(&mut self, s: &QuerySample) {
-        let elapsed_us = u64::try_from(s.elapsed.as_micros()).unwrap_or(u64::MAX);
+    fn absorb(&mut self, p: &QueryProfile) {
+        let elapsed_us = p.elapsed_us();
         self.executions += 1;
-        self.failures += s.failed as u64;
-        self.timeouts += s.timed_out as u64;
-        self.rows_returned += s.rows;
+        self.failures += (p.status != QueryStatus::Ok) as u64;
+        self.timeouts += p.timed_out as u64;
+        self.rows_returned += p.exec.rows_returned;
         self.total_elapsed_us = self.total_elapsed_us.saturating_add(elapsed_us);
         self.max_elapsed_us = self.max_elapsed_us.max(elapsed_us);
         let idx = LATENCY_BUCKETS_US
@@ -109,14 +96,14 @@ impl ShapeAgg {
             .position(|&b| elapsed_us <= b)
             .unwrap_or(LATENCY_BUCKETS_US.len());
         self.latency_buckets[idx] += 1;
-        for w in &s.waits {
-            let agg = self.waits.entry(w.class.clone()).or_default();
+        for w in p.exec.waits.snapshot() {
+            let agg = self.waits.entry(w.class).or_default();
             agg.count += w.count;
             agg.total_ns = agg.total_ns.saturating_add(w.total_ns);
             agg.max_ns = agg.max_ns.max(w.max_ns);
         }
-        self.spill_partitions += s.spill_partitions;
-        self.spill_bytes += s.spill_bytes;
+        self.spill_partitions += p.exec.counters.partitions_spilled;
+        self.spill_bytes += p.exec.counters.bytes_spilled;
     }
 
     /// Interpolated elapsed-time quantile in microseconds.
@@ -222,7 +209,7 @@ impl QueryStore {
     }
 
     /// Aggregate one finished statement into the current interval.
-    pub fn record(&self, sample: &QuerySample) {
+    pub fn record(&self, profile: &QueryProfile) {
         let width = self.interval_ms();
         let now = Self::now_unix_ms();
         let id = now / width;
@@ -241,14 +228,15 @@ impl QueryStore {
         }
         let max_shapes = self.max_shapes;
         if let Some(cur) = inner.intervals.back_mut() {
-            if !cur.shapes.contains_key(&sample.shape_hash) && cur.shapes.len() >= max_shapes {
+            let shape = &profile.shape;
+            if !cur.shapes.contains_key(&shape.hash) && cur.shapes.len() >= max_shapes {
                 cur.shapes_dropped += 1;
                 return;
             }
             cur.shapes
-                .entry(sample.shape_hash)
-                .or_insert_with(|| ShapeAgg::new(sample.shape_hash, sample.shape_text.clone()))
-                .absorb(sample);
+                .entry(shape.hash)
+                .or_insert_with(|| ShapeAgg::new(shape.hash, shape.text.clone()))
+                .absorb(profile);
         }
     }
 
@@ -387,23 +375,30 @@ impl QueryStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::time::Duration;
 
-    fn sample(hash: u64, text: &str, us: u64) -> QuerySample {
-        QuerySample {
-            shape_hash: hash,
-            shape_text: text.into(),
-            elapsed: Duration::from_micros(us),
-            rows: 3,
-            failed: false,
+    /// An OK statement that returned 3 rows and waited once on the WAL.
+    fn sample(hash: u64, text: &str, us: u64) -> QueryProfile {
+        use cstore_common::waits::{install, observe, WaitClass, WaitProfile};
+        let waits = Arc::new(WaitProfile::new());
+        {
+            let _frame = install(Arc::clone(&waits));
+            observe(WaitClass::WalCommit, Duration::from_nanos(5_000));
+        }
+        let mut exec = cstore_exec::ExecProfile::idle(waits);
+        exec.rows_returned = 3;
+        QueryProfile {
+            text: text.into(),
+            shape: cstore_sql::QueryShape {
+                hash,
+                text: text.into(),
+            },
+            status: QueryStatus::Ok,
             timed_out: false,
-            waits: vec![WaitSnapshot {
-                class: "WAL_COMMIT".into(),
-                count: 1,
-                total_ns: 5_000,
-                max_ns: 5_000,
-            }],
-            spill_partitions: 0,
-            spill_bytes: 0,
+            error: None,
+            elapsed: Duration::from_micros(us),
+            exec,
         }
     }
 
@@ -434,7 +429,7 @@ mod tests {
             qs.record(&sample(99, "select a from t where b = ?", 1_000));
         }
         let mut failed = sample(99, "select a from t where b = ?", 2_000);
-        failed.failed = true;
+        failed.status = QueryStatus::Error;
         failed.timed_out = true;
         qs.record(&failed);
         let blob = qs.encode().unwrap();

@@ -19,7 +19,7 @@ use cstore_common::{DataType, Error, Result, Row, RowGroupId, RowId, Schema, Val
 use cstore_delta::table::AppliedWrites;
 use cstore_delta::wal::TxnApplyOp;
 use cstore_delta::{ColumnStoreTable, TableSnapshot, Wal, WalRecord};
-use cstore_exec::Expr;
+use cstore_exec::{ExecProfile, Expr};
 use cstore_rowstore::HeapTable;
 use cstore_sql::ast::Statement;
 use cstore_sql::{bind_expr_on_schema, coerce, literal_value};
@@ -229,7 +229,11 @@ impl TableOverlay {
 }
 
 impl Database {
-    pub(crate) fn execute_statement(&self, stmt: Statement) -> Result<QueryResult> {
+    pub(crate) fn execute_statement(
+        &self,
+        stmt: Statement,
+        exec: &mut ExecProfile,
+    ) -> Result<QueryResult> {
         // Transaction control first: these transition the session state
         // and never run inside the statement wrapper below.
         match stmt {
@@ -258,7 +262,7 @@ impl Database {
             }
         };
         let Some(mut txn) = open else {
-            return self.dispatch_autocommit(stmt);
+            return self.dispatch_autocommit(stmt, exec);
         };
         if txn.statements == 0 {
             // The snapshot instant of an explicit transaction is its
@@ -266,7 +270,7 @@ impl Database {
             txn.pin_all(&self.catalog);
         }
         let ckpt = txn.checkpoint();
-        let result = self.execute_in_txn(&mut txn, stmt);
+        let result = self.execute_in_txn(&mut txn, stmt, exec);
         match result {
             Ok(r) => {
                 txn.statements += 1;
@@ -308,7 +312,7 @@ impl Database {
             return self.run_heap_dml(&h, stmt);
         }
         let mut txn = ActiveTxn::new(self.txns.next_id(), true);
-        match self.execute_in_txn(&mut txn, stmt) {
+        match self.txn_dml(&mut txn, stmt) {
             Ok(result) => self.commit_active(txn).map(|()| result),
             Err(e) => {
                 self.abort_txn(&txn, e.to_string());
@@ -321,18 +325,35 @@ impl Database {
     /// snapshots plus the private write set; writes buffer into the
     /// overlay (an explicit transaction also logs them as TxnOp frames
     /// at statement time).
-    fn execute_in_txn(&self, txn: &mut ActiveTxn, stmt: Statement) -> Result<QueryResult> {
+    fn execute_in_txn(
+        &self,
+        txn: &mut ActiveTxn,
+        stmt: Statement,
+        exec: &mut ExecProfile,
+    ) -> Result<QueryResult> {
         match stmt {
-            Statement::Select(s) => self.run_select(&s, Some(txn.snapshots(&self.catalog))),
-            Statement::UnionAll(branches) => {
-                self.run_union(&branches, Some(txn.snapshots(&self.catalog)))
+            Statement::Select(_) | Statement::UnionAll(_) => {
+                self.run_query(&stmt, Some(txn.snapshots(&self.catalog)), exec)
             }
             Statement::Explain { analyze, stmt } => {
-                self.run_explain(*stmt, analyze, Some(txn.snapshots(&self.catalog)))
+                self.run_explain(&stmt, analyze, Some(txn.snapshots(&self.catalog)), exec)
             }
             // SET tunes session options, not data — it runs (and can
             // fail) outside the transaction's write set either way.
             Statement::Set { option, value } => self.run_set(&option, value),
+            Statement::CreateTable { .. } | Statement::Analyze { .. } => Err(Error::Unsupported(
+                "DDL is not supported inside a transaction; COMMIT or ROLLBACK first".into(),
+            )),
+            Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::Sql(
+                "transaction control cannot nest inside a statement".into(),
+            )),
+            dml => self.txn_dml(txn, dml),
+        }
+    }
+
+    /// Buffer one INSERT, DELETE or UPDATE into the transaction's overlay.
+    fn txn_dml(&self, txn: &mut ActiveTxn, stmt: Statement) -> Result<QueryResult> {
+        match stmt {
             Statement::Insert { table, rows } => self.txn_insert(txn, &table, rows),
             Statement::Delete { table, selection } => self.txn_delete(txn, &table, selection),
             Statement::Update {
@@ -340,12 +361,7 @@ impl Database {
                 assignments,
                 selection,
             } => self.txn_update(txn, &table, assignments, selection),
-            Statement::CreateTable { .. } | Statement::Analyze { .. } => Err(Error::Unsupported(
-                "DDL is not supported inside a transaction; COMMIT or ROLLBACK first".into(),
-            )),
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::Sql(
-                "transaction control cannot nest inside a statement".into(),
-            )),
+            other => Err(Error::Sql(format!("not a DML statement: {other:?}"))),
         }
     }
 

@@ -38,5 +38,5 @@ pub use ops::parallel::ParallelScan;
 pub use ops::scan::{BatchSource, ColumnStoreScan, FilterSlot};
 pub use ops::stats_op::{RowStatsOp, StatsOp};
 pub use ops::{BatchOperator, BoxedBatchOp, BoxedRowOp, RowOperator};
-pub use runtime::{ExecContext, ExecStats, Metrics, OpStats};
+pub use runtime::{Counters, ExecContext, ExecProfile, ExecStats, Metrics, OpStats};
 pub use vector::Vector;

@@ -785,21 +785,9 @@ mod tests {
             let spilled = join(join_type, tiny.clone());
             assert_eq!(in_mem, spilled, "{join_type:?} differs when spilled");
             assert!(
-                Metrics::get_spilled(&tiny) > 0,
+                tiny.metrics.counters().partitions_spilled > 0,
                 "{join_type:?} did not actually spill"
             );
-        }
-    }
-
-    struct Metrics;
-    impl Metrics {
-        fn get_spilled(ctx: &ExecContext) -> u64 {
-            ctx.metrics
-                .snapshot()
-                .iter()
-                .find(|(n, _)| *n == "partitions_spilled")
-                .unwrap()
-                .1
         }
     }
 
@@ -817,7 +805,7 @@ mod tests {
         let spilled = join(JoinType::Inner, governed.clone());
         assert_eq!(join(JoinType::Inner, ExecContext::default()), spilled);
         assert!(
-            Metrics::get_spilled(&governed) > 0,
+            governed.metrics.counters().partitions_spilled > 0,
             "tight ledger did not force a spill"
         );
         drop(governed);

@@ -183,7 +183,7 @@ mod tests {
                 Err(e) => break e,
             }
         };
-        assert!(matches!(err, Error::Execution(_)), "{err}");
+        assert!(matches!(err, Error::Timeout), "{err}");
         assert!(err.to_string().contains("query_timeout_ms"), "{err}");
     }
 

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cstore_common::governor::{MemoryLedger, QueryReservation};
 use cstore_common::sync::Mutex;
@@ -21,44 +21,78 @@ use crate::batch::BATCH_SIZE;
 /// spilling join cannot overrun its deadline.
 pub fn check_deadline(deadline: Option<Instant>) -> Result<()> {
     match deadline {
-        Some(d) if Instant::now() >= d => Err(Error::Execution(
-            "query timeout exceeded (SET query_timeout_ms)".into(),
-        )),
+        Some(d) if Instant::now() >= d => Err(Error::Timeout),
         _ => Ok(()),
     }
 }
 
-/// Counters collected during execution; all monotonic, safe to read while
-/// the query runs.
-#[derive(Debug, Default)]
-pub struct Metrics {
+/// Declares the execution counters once: the live [`Metrics`] the
+/// operators add to, the plain [`Counters`] copy a finished query is
+/// reported with, and everything that must visit each counter.
+macro_rules! exec_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Counters collected during execution; all monotonic, safe to
+        /// read while the query runs.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of [`Metrics`].
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct Counters {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl Metrics {
+            pub fn counters(&self) -> Counters {
+                Counters { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+
+            /// Fold a finished query's counters into this (long-lived,
+            /// cumulative) set.
+            pub fn absorb(&self, c: &Counters) {
+                $(self.$name.fetch_add(c.$name, Ordering::Relaxed);)*
+            }
+        }
+
+        impl Counters {
+            /// Visit every counter as `(name, value)`, in declaration order.
+            pub fn for_each(&self, mut f: impl FnMut(&'static str, u64)) {
+                $(f(stringify!($name), self.$name);)*
+            }
+        }
+    };
+}
+
+exec_counters! {
     /// Rows produced by scans (after elimination, before filters).
     /// Includes both columnstore and delta-store rows.
-    pub rows_scanned: AtomicU64,
+    rows_scanned,
     /// Row groups skipped by segment elimination.
-    pub groups_eliminated: AtomicU64,
+    groups_eliminated,
     /// Row groups actually read.
-    pub groups_scanned: AtomicU64,
+    groups_scanned,
     /// Rows dropped at scans by pushed-down bitmap filters.
-    pub rows_dropped_by_bitmap: AtomicU64,
+    rows_dropped_by_bitmap,
     /// Batches produced by all operators.
-    pub batches: AtomicU64,
+    batches,
     /// Hash-join partitions spilled to disk.
-    pub partitions_spilled: AtomicU64,
+    partitions_spilled,
     /// Bytes written to spill files.
-    pub bytes_spilled: AtomicU64,
+    bytes_spilled,
     /// Rows scanned from delta stores (subset of `rows_scanned`).
-    pub rows_scanned_delta: AtomicU64,
+    rows_scanned_delta,
     /// Rows probed against pushed-down bitmap filters.
-    pub bitmap_probes: AtomicU64,
+    bitmap_probes,
     /// Bitmap filters installed in exact mode.
-    pub bitmap_filters_exact: AtomicU64,
+    bitmap_filters_exact,
     /// Bitmap filters installed in Bloom mode.
-    pub bitmap_filters_bloom: AtomicU64,
+    bitmap_filters_bloom,
     /// Rows collected on hash-join build sides.
-    pub join_build_rows: AtomicU64,
+    join_build_rows,
     /// Rows streamed through hash-join probe sides.
-    pub join_probe_rows: AtomicU64,
+    join_probe_rows,
 }
 
 impl Metrics {
@@ -70,105 +104,18 @@ impl Metrics {
         counter.load(Ordering::Relaxed)
     }
 
-    /// Snapshot as (name, value) pairs for EXPLAIN ANALYZE-style output.
+    /// Snapshot as (name, value) pairs.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("rows_scanned", self.rows_scanned.load(Ordering::Relaxed)),
-            (
-                "groups_eliminated",
-                self.groups_eliminated.load(Ordering::Relaxed),
-            ),
-            (
-                "groups_scanned",
-                self.groups_scanned.load(Ordering::Relaxed),
-            ),
-            (
-                "rows_dropped_by_bitmap",
-                self.rows_dropped_by_bitmap.load(Ordering::Relaxed),
-            ),
-            ("batches", self.batches.load(Ordering::Relaxed)),
-            (
-                "partitions_spilled",
-                self.partitions_spilled.load(Ordering::Relaxed),
-            ),
-            ("bytes_spilled", self.bytes_spilled.load(Ordering::Relaxed)),
-            (
-                "rows_scanned_delta",
-                self.rows_scanned_delta.load(Ordering::Relaxed),
-            ),
-            ("bitmap_probes", self.bitmap_probes.load(Ordering::Relaxed)),
-            (
-                "bitmap_filters_exact",
-                self.bitmap_filters_exact.load(Ordering::Relaxed),
-            ),
-            (
-                "bitmap_filters_bloom",
-                self.bitmap_filters_bloom.load(Ordering::Relaxed),
-            ),
-            (
-                "join_build_rows",
-                self.join_build_rows.load(Ordering::Relaxed),
-            ),
-            (
-                "join_probe_rows",
-                self.join_probe_rows.load(Ordering::Relaxed),
-            ),
-        ]
+        self.counters().named()
     }
+}
 
-    /// Fold every counter into `target`. Used to roll a per-query
-    /// [`Metrics`] back into a long-lived cumulative one.
-    pub fn merge_into(&self, target: &Metrics) {
-        target
-            .rows_scanned
-            .fetch_add(self.rows_scanned.load(Ordering::Relaxed), Ordering::Relaxed);
-        target.groups_eliminated.fetch_add(
-            self.groups_eliminated.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        target.groups_scanned.fetch_add(
-            self.groups_scanned.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        target.rows_dropped_by_bitmap.fetch_add(
-            self.rows_dropped_by_bitmap.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        target
-            .batches
-            .fetch_add(self.batches.load(Ordering::Relaxed), Ordering::Relaxed);
-        target.partitions_spilled.fetch_add(
-            self.partitions_spilled.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        target.bytes_spilled.fetch_add(
-            self.bytes_spilled.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        target.rows_scanned_delta.fetch_add(
-            self.rows_scanned_delta.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        target.bitmap_probes.fetch_add(
-            self.bitmap_probes.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        target.bitmap_filters_exact.fetch_add(
-            self.bitmap_filters_exact.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        target.bitmap_filters_bloom.fetch_add(
-            self.bitmap_filters_bloom.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        target.join_build_rows.fetch_add(
-            self.join_build_rows.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        target.join_probe_rows.fetch_add(
-            self.join_probe_rows.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
+impl Counters {
+    /// `(name, value)` pairs in declaration order.
+    pub fn named(&self) -> Vec<(&'static str, u64)> {
+        let mut pairs = Vec::new();
+        self.for_each(|name, v| pairs.push((name, v)));
+        pairs
     }
 }
 
@@ -258,6 +205,38 @@ impl ExecStats {
     }
 }
 
+/// What one plan execution did — the execution half of a statement's
+/// profile, taken from the query's context when the plan finishes or
+/// fails. The counters are a copy; the per-operator stats and the wait
+/// frame are the query's own, shared and by then quiescent. `EXPLAIN
+/// ANALYZE` renders this; `cstore_core` files it under the statement.
+#[derive(Clone)]
+pub struct ExecProfile {
+    /// Rows the plan returned.
+    pub rows_returned: u64,
+    /// Wall time from optimize to the last row.
+    pub elapsed: Duration,
+    pub counters: Counters,
+    /// Per-operator actuals, sorted by pre-order node index.
+    pub operators: Vec<Arc<OpStats>>,
+    /// The statement's wait-class breakdown.
+    pub waits: Arc<WaitProfile>,
+}
+
+impl ExecProfile {
+    /// The profile of a statement that has run no plan (yet): all zeros
+    /// over the statement's wait frame.
+    pub fn idle(waits: Arc<WaitProfile>) -> ExecProfile {
+        ExecProfile {
+            rows_returned: 0,
+            elapsed: Duration::ZERO,
+            counters: Counters::default(),
+            operators: Vec::new(),
+            waits,
+        }
+    }
+}
+
 /// Shared execution context, cloned into every operator.
 #[derive(Clone)]
 pub struct ExecContext {
@@ -278,7 +257,7 @@ pub struct ExecContext {
     /// Per-operator stats for the current query (fresh per `for_query`).
     pub stats: Arc<ExecStats>,
     /// Wall-clock point after which the query must abort with a clean
-    /// `Error::Execution` (set per query from `SET query_timeout_ms`).
+    /// `Error::Timeout` (set per query from `SET query_timeout_ms`).
     /// Checked at every operator boundary by the stats wrappers.
     pub deadline: Option<Instant>,
     /// Process-wide memory ledger shared by every concurrent query
@@ -324,7 +303,7 @@ impl Default for ExecContext {
 impl ExecContext {
     /// Fork a per-query context: same configuration, fresh [`Metrics`]
     /// and [`ExecStats`]. Callers fold the per-query counters back into
-    /// a cumulative `Metrics` with [`Metrics::merge_into`] when done.
+    /// a cumulative `Metrics` with [`Metrics::absorb`] when done.
     pub fn for_query(&self) -> ExecContext {
         ExecContext {
             metrics: Arc::new(Metrics::default()),
@@ -337,6 +316,18 @@ impl ExecContext {
             ..self.clone()
         }
     }
+
+    /// What this (per-query) context's plan has done `elapsed` into its
+    /// run; the caller adds the row count once there is a result.
+    pub fn profile(&self, elapsed: Duration) -> ExecProfile {
+        ExecProfile {
+            elapsed,
+            counters: self.metrics.counters(),
+            operators: self.stats.operators(),
+            ..ExecProfile::idle(Arc::clone(&self.waits))
+        }
+    }
+
     /// A context with a specific memory budget (spill experiments).
     pub fn with_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = bytes;
@@ -440,7 +431,7 @@ mod tests {
         q.add(&q.join_probe_rows, 2);
         let total = Metrics::default();
         total.add(&total.rows_scanned, 100);
-        q.merge_into(&total);
+        total.absorb(&q.counters());
         assert_eq!(Metrics::get(&total.rows_scanned), 107);
         assert_eq!(Metrics::get(&total.bitmap_probes), 3);
         assert_eq!(Metrics::get(&total.join_probe_rows), 2);
@@ -461,6 +452,7 @@ mod tests {
         check_deadline(None).unwrap();
         check_deadline(Some(Instant::now() + std::time::Duration::from_secs(60))).unwrap();
         let err = check_deadline(Some(Instant::now())).unwrap_err();
+        assert!(matches!(err, Error::Timeout), "{err:?}");
         assert!(err.to_string().contains("query timeout"), "{err}");
     }
 

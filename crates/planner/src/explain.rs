@@ -1,9 +1,7 @@
 //! Plan rendering (`EXPLAIN` and `EXPLAIN ANALYZE`).
 
-use std::time::Duration;
-
 use cstore_common::waits::WaitProfile;
-use cstore_exec::{ExecStats, Metrics};
+use cstore_exec::ExecProfile;
 
 use crate::catalog::CatalogProvider;
 use crate::cost::{batch_mode_cost, choose_mode, row_mode_cost, ExecMode};
@@ -24,21 +22,16 @@ pub fn explain(plan: &LogicalPlan, catalog: &dyn CatalogProvider, mode: ExecMode
     out
 }
 
-/// Render a plan annotated with per-operator actuals after execution.
+/// Render a plan annotated with what executing it did.
 ///
-/// `stats`/`metrics`/`rows_returned`/`elapsed` come from draining the
-/// physical plan built with the same logical tree: `ExecStats` node
-/// indices are pre-order positions, the numbering both
-/// `physical::build_physical` and this renderer walk.
+/// `exec` comes from draining the physical plan built from the same
+/// logical tree: its operators' node indices are pre-order positions, the
+/// numbering both `physical::build_physical` and this renderer walk.
 pub fn explain_analyze(
     plan: &LogicalPlan,
     catalog: &dyn CatalogProvider,
     mode: ExecMode,
-    stats: &ExecStats,
-    metrics: &Metrics,
-    waits: &WaitProfile,
-    rows_returned: usize,
-    elapsed: Duration,
+    exec: &ExecProfile,
 ) -> String {
     let chosen = choose_mode(mode, plan, catalog);
     let mut out = String::new();
@@ -48,44 +41,34 @@ pub fn explain_analyze(
         batch_mode_cost(plan, catalog)
     ));
     let mut node = 0usize;
-    render_analyze(plan, catalog, 0, &mut node, stats, &mut out);
-    let get = |name: &str| {
-        metrics
-            .snapshot()
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
-    };
+    render_analyze(plan, catalog, 0, &mut node, exec, &mut out);
+    let c = &exec.counters;
     out.push_str("actuals:\n");
     out.push_str(&format!(
-        "  rows returned={rows_returned} elapsed={:.3} ms\n",
-        elapsed.as_secs_f64() * 1e3
+        "  rows returned={} elapsed={:.3} ms\n",
+        exec.rows_returned,
+        exec.elapsed.as_secs_f64() * 1e3
     ));
     out.push_str(&format!(
         "  scan: groups_scanned={} groups_eliminated={} rows_columnstore={} rows_delta={}\n",
-        get("groups_scanned"),
-        get("groups_eliminated"),
-        get("rows_scanned") - get("rows_scanned_delta"),
-        get("rows_scanned_delta"),
+        c.groups_scanned,
+        c.groups_eliminated,
+        c.rows_scanned - c.rows_scanned_delta,
+        c.rows_scanned_delta,
     ));
     out.push_str(&format!(
         "  bitmap filters: exact={} bloom={} probes={} pruned={}\n",
-        get("bitmap_filters_exact"),
-        get("bitmap_filters_bloom"),
-        get("bitmap_probes"),
-        get("rows_dropped_by_bitmap"),
+        c.bitmap_filters_exact, c.bitmap_filters_bloom, c.bitmap_probes, c.rows_dropped_by_bitmap,
     ));
     out.push_str(&format!(
         "  join: build_rows={} probe_rows={}\n",
-        get("join_build_rows"),
-        get("join_probe_rows"),
+        c.join_build_rows, c.join_probe_rows,
     ));
     out.push_str(&format!(
         "  spill: partitions={} bytes={}\n",
-        get("partitions_spilled"),
-        get("bytes_spilled"),
+        c.partitions_spilled, c.bytes_spilled,
     ));
-    out.push_str(&waits_footer_line(waits));
+    out.push_str(&waits_footer_line(&exec.waits));
     out.push_str(&wal_footer_line());
     out
 }
@@ -163,7 +146,7 @@ fn render_analyze(
     catalog: &dyn CatalogProvider,
     depth: usize,
     node: &mut usize,
-    stats: &ExecStats,
+    exec: &ExecProfile,
     out: &mut String,
 ) {
     let node_id = *node;
@@ -173,7 +156,7 @@ fn render_analyze(
     let mut line = String::new();
     render_node(plan, catalog, depth, &mut line);
     out.push_str(line.trim_end_matches('\n'));
-    match stats.for_node(node_id) {
+    match exec.operators.iter().find(|op| op.node == node_id) {
         Some(op) => out.push_str(&format!(
             "  [actual rows={} batches={} time={:.3} ms]\n",
             op.rows(),
@@ -183,7 +166,7 @@ fn render_analyze(
         None => out.push('\n'),
     }
     for child in plan.children() {
-        render_analyze(child, catalog, depth + 1, node, stats, out);
+        render_analyze(child, catalog, depth + 1, node, exec, out);
     }
 }
 

@@ -9,7 +9,11 @@ use crate::lexer::{tokenize, Token};
 
 /// Parse one SQL statement.
 pub fn parse(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
+    parse_tokens(tokenize(sql)?)
+}
+
+/// Parse one already-lexed SQL statement.
+pub fn parse_tokens(tokens: Vec<Token>) -> Result<Statement> {
     let mut p = Parser {
         tokens,
         pos: 0,

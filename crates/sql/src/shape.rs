@@ -53,15 +53,22 @@ fn push_token(out: &mut String, t: &Token) {
 /// vanish. Statements the lexer rejects fall back to hashing the
 /// trimmed, lowercased raw text (still deterministic, still groupable).
 pub fn query_shape(sql: &str) -> QueryShape {
-    let text = match tokenize(sql) {
-        Ok(tokens) => {
+    shape_of(sql, tokenize(sql).as_deref().ok())
+}
+
+/// [`query_shape`] for a caller that has already lexed `sql` (`None` when
+/// the lexer rejected it), so a statement is tokenized once for both its
+/// shape and [`crate::parser::parse_tokens`].
+pub fn shape_of(sql: &str, tokens: Option<&[Token]>) -> QueryShape {
+    let text = match tokens {
+        Some(tokens) => {
             let mut out = String::with_capacity(sql.len());
-            for t in &tokens {
+            for t in tokens {
                 push_token(&mut out, t);
             }
             out
         }
-        Err(_) => {
+        None => {
             let collapsed: Vec<&str> = sql.split_whitespace().collect();
             collapsed.join(" ").to_ascii_lowercase()
         }

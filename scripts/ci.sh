@@ -22,6 +22,11 @@ cargo run -q -p cstore-lint -- list --json >/dev/null || {
 echo "==> cargo build --release"
 cargo build --workspace --release -q
 
+# Not a gate: the size of what was just built, so a PR that says
+# "net-negative" can point at two numbers in two logs.
+echo "==> code size (non-test, non-comment, non-blank Rust lines)"
+scripts/loc.sh
+
 echo "==> cargo test"
 cargo test --workspace -q
 

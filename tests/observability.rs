@@ -8,10 +8,14 @@
 //! evenly between two regions (so a region filter's bitmap prunes
 //! exactly half the scanned fact rows).
 
+use std::collections::HashMap;
 use std::time::Duration;
 
+use cstore::common::metrics::{global as registry, LATENCY_BUCKETS_US};
 use cstore::common::{Row, Value};
 use cstore::delta::TableConfig;
+use cstore::exec::{ExecContext, Metrics};
+use cstore::sql::query_shape;
 use cstore::{Database, QueryResult};
 
 fn db() -> Database {
@@ -55,22 +59,47 @@ fn db() -> Database {
     db
 }
 
-fn metric(metrics: &[(&'static str, u64)], name: &str) -> u64 {
-    metrics
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map_or(0, |(_, v)| *v)
+/// The per-query execution counters a result set came with, by name.
+fn counters(r: &QueryResult) -> HashMap<&'static str, u64> {
+    let QueryResult::Rows { metrics, .. } = r else {
+        panic!("expected rows, got {r:?}");
+    };
+    metrics.iter().copied().collect()
 }
 
-/// Pull `rows=N` out of an EXPLAIN ANALYZE line.
-fn actual_rows(line: &str) -> u64 {
-    let tail = line.split("[actual rows=").nth(1).unwrap_or_else(|| {
-        panic!("no [actual rows=...] annotation in line: {line}");
-    });
+/// The number that follows the first `key` in EXPLAIN ANALYZE text.
+fn number_after(text: &str, key: &str) -> u64 {
+    let tail = text
+        .split(key)
+        .nth(1)
+        .unwrap_or_else(|| panic!("no `{key}` in: {text}"));
     tail.split(|c: char| !c.is_ascii_digit())
         .next()
         .and_then(|s| s.parse().ok())
         .unwrap()
+}
+
+/// Pull `rows=N` out of an EXPLAIN ANALYZE operator line.
+fn actual_rows(line: &str) -> u64 {
+    number_after(line, "[actual rows=")
+}
+
+/// A `sys.*` result set grouped by its first column (the hex
+/// `query_hash`), the remaining columns kept per row.
+fn by_hash(db: &Database, sql: &str) -> HashMap<String, Vec<Vec<Value>>> {
+    let mut out: HashMap<String, Vec<Vec<Value>>> = HashMap::new();
+    for row in db.execute(sql).unwrap().rows() {
+        let hash = row.get(0).as_str().unwrap().to_owned();
+        out.entry(hash)
+            .or_default()
+            .push(row.values()[1..].to_vec());
+    }
+    out
+}
+
+fn int(v: &Value) -> u64 {
+    v.as_i64()
+        .unwrap_or_else(|| panic!("not an integer: {v:?}")) as u64
 }
 
 #[test]
@@ -84,29 +113,24 @@ fn per_query_metrics_report_elimination_and_bitmap_prunes() {
         )
         .unwrap();
     assert_eq!(r.rows()[0].get(1), &Value::Int64(500));
-    let QueryResult::Rows { metrics, .. } = r else {
-        panic!("expected rows");
-    };
+    let m = counters(&r);
     // day < 10 → ids 0..1000 → row group 0 of 4: three groups eliminated.
-    assert_eq!(metric(&metrics, "groups_scanned"), 1, "{metrics:?}");
-    assert_eq!(metric(&metrics, "groups_eliminated"), 3, "{metrics:?}");
+    assert_eq!(m["groups_scanned"], 1, "{m:?}");
+    assert_eq!(m["groups_eliminated"], 3, "{m:?}");
     // The region bitmap admits the 10 even cust_ids: of the 1,000
     // scanned fact rows, the 500 with odd cust_id are pruned.
-    assert_eq!(metric(&metrics, "rows_dropped_by_bitmap"), 500);
-    assert!(metric(&metrics, "bitmap_probes") >= 1000);
-    assert_eq!(metric(&metrics, "bitmap_filters_exact"), 1);
-    assert_eq!(metric(&metrics, "bitmap_filters_bloom"), 0);
+    assert_eq!(m["rows_dropped_by_bitmap"], 500);
+    assert!(m["bitmap_probes"] >= 1000);
+    assert_eq!(m["bitmap_filters_exact"], 1);
+    assert_eq!(m["bitmap_filters_bloom"], 0);
     // Build side: the 10 north customers; probe side: surviving fact rows.
-    assert_eq!(metric(&metrics, "join_build_rows"), 10);
-    assert_eq!(metric(&metrics, "join_probe_rows"), 500);
+    assert_eq!(m["join_build_rows"], 10);
+    assert_eq!(m["join_probe_rows"], 500);
     // Metrics are per-query: an unrelated query reports its own counters,
     // not an accumulation.
-    let r2 = db.execute("SELECT COUNT(*) FROM customers").unwrap();
-    let QueryResult::Rows { metrics: m2, .. } = r2 else {
-        panic!("expected rows");
-    };
-    assert_eq!(metric(&m2, "rows_dropped_by_bitmap"), 0);
-    assert_eq!(metric(&m2, "groups_eliminated"), 0);
+    let m2 = counters(&db.execute("SELECT COUNT(*) FROM customers").unwrap());
+    assert_eq!(m2["rows_dropped_by_bitmap"], 0);
+    assert_eq!(m2["groups_eliminated"], 0);
 }
 
 #[test]
@@ -203,11 +227,189 @@ fn database_metrics_dump_is_complete() {
 #[test]
 fn cumulative_context_metrics_still_accumulate_across_queries() {
     let db = db();
-    let before = metric(&db.exec_context().metrics.snapshot(), "rows_scanned");
+    let before = Metrics::get(&db.exec_context().metrics.rows_scanned);
     db.execute("SELECT COUNT(*) FROM sales").unwrap();
     db.execute("SELECT COUNT(*) FROM sales").unwrap();
-    let after = metric(&db.exec_context().metrics.snapshot(), "rows_scanned");
+    let after = Metrics::get(&db.exec_context().metrics.rows_scanned);
     // Two full scans of 4,000 rows folded back into the shared context —
     // the bench binaries rely on these before/after deltas.
     assert_eq!(after - before, 8000);
+}
+
+/// The counting rule: every statement that reaches `execute` is counted
+/// once whatever its end, and a SELECT that fails mid-execution still
+/// reports the work it did.
+#[test]
+fn failed_statements_are_counted_with_the_work_they_did() {
+    let db = db();
+    let scanned = || Metrics::get(&db.exec_context().metrics.rows_scanned);
+    let total = || registry().counter("cstore_queries_total").get();
+    let (scanned_before, total_before) = (scanned(), total());
+    // Fails in the projection, after the scan produced its first batch.
+    let err = db.execute("SELECT id / (id - id) FROM sales").unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
+    assert!(
+        scanned() > scanned_before,
+        "the failed SELECT's scan vanished from the cumulative metrics"
+    );
+    db.execute("SELECT nope FROM sales").unwrap_err();
+    db.execute("INSERT INTO sales VALUES (9000, 1, 1.0, 0)")
+        .unwrap();
+    db.execute("BEGIN").unwrap();
+    db.execute("ROLLBACK").unwrap();
+    // The registry is process-wide (other tests add to it), hence `>=`.
+    assert!(
+        total() - total_before >= 5,
+        "DML, txn control and failures count"
+    );
+}
+
+/// One script, every kind of ending; then every surface that keeps
+/// statements must tell the same story about each statement shape.
+#[test]
+fn query_log_query_store_registry_and_explain_analyze_agree() {
+    // A 64-byte operator budget makes every hash join spill.
+    let db = db().with_exec_context(ExecContext::default().with_budget(64));
+    let peer = db.new_session();
+    let join = "SELECT c.region, COUNT(*) AS n FROM sales s \
+                JOIN customers c ON s.cust_id = c.id GROUP BY c.region";
+    let explain = format!("EXPLAIN ANALYZE {join}");
+    // Fails in the projection — after the join's build side has spilled.
+    let fails_late = "SELECT s.id / (s.id - s.id) FROM sales s \
+                      JOIN customers c ON s.cust_id = c.id";
+    let times_out = "SELECT COUNT(*) FROM sales a JOIN sales b ON a.cust_id = b.cust_id";
+    let scan = "SELECT COUNT(*) FROM sales WHERE day = 3";
+    // (session, statement, the status `sys.query_log` must show)
+    let script: Vec<(&Database, &str, &str)> = vec![
+        (&db, scan, "OK"),
+        (&db, "SELECT nope FROM sales", "ERROR"),
+        (&db, fails_late, "ERROR"),
+        (&db, "SET query_timeout_ms = 1", "OK"),
+        (&db, times_out, "ERROR"),
+        (&db, "SET query_timeout_ms = 0", "OK"),
+        (&db, join, "OK"),
+        (&db, &explain, "OK"),
+        (&db, "INSERT INTO sales VALUES (9001, 1, 1.0, 0)", "OK"),
+        (&db, "UPDATE sales SET amount = 2.0 WHERE id = 9001", "OK"),
+        (&db, "DELETE FROM sales WHERE id = 9001", "OK"),
+        (&db, "BEGIN", "OK"),
+        (&db, "INSERT INTO sales VALUES (9002, 1, 1.0, 0)", "OK"),
+        (&db, "ROLLBACK", "ROLLBACK"),
+        (&db, "BEGIN", "OK"),
+        (&db, "UPDATE sales SET amount = 3.0 WHERE id = 7", "OK"),
+        (&peer, "DELETE FROM sales WHERE id = 7", "CONFLICT"),
+        (&db, "COMMIT", "OK"),
+    ];
+    let latency = || {
+        registry()
+            .histogram("cstore_query_latency_us", &LATENCY_BUCKETS_US)
+            .count()
+    };
+    let total = || registry().counter("cstore_queries_total").get();
+    let spilled = || Metrics::get(&db.exec_context().metrics.bytes_spilled);
+    let (latency_before, total_before, spilled_before) = (latency(), total(), spilled());
+
+    let hash = |sql: &str| format!("{:016x}", query_shape(sql).hash);
+    let mut expected: HashMap<String, Vec<&str>> = HashMap::new();
+    let mut results: HashMap<&str, _> = HashMap::new();
+    for (session, sql, status) in &script {
+        let r = session.execute(sql);
+        assert_eq!(
+            r.is_ok(),
+            matches!(*status, "OK" | "ROLLBACK"),
+            "{sql}: {r:?}"
+        );
+        expected.entry(hash(sql)).or_default().push(*status);
+        results.insert(*sql, r);
+    }
+    assert_eq!(results[times_out].as_ref().unwrap_err().code(), "TIMEOUT");
+
+    // Registry: one count and one latency observation per statement. The
+    // registry is process-wide (other tests add to it), hence `>=`.
+    let n = script.len() as u64;
+    assert!(total() - total_before >= n, "cstore_queries_total");
+    assert!(latency() - latency_before >= n, "cstore_query_latency_us");
+
+    let log = by_hash(
+        &db,
+        "SELECT query_hash, status, error, rows, batches FROM sys.query_log",
+    );
+    let store = by_hash(
+        &db,
+        "SELECT query_hash, executions, failures, timeouts, spill_partitions, spill_bytes \
+         FROM sys.query_store",
+    );
+    // A shape's Query Store columns, summed over the intervals it spans.
+    let stored = |shape: &str| -> Vec<u64> {
+        let rows = &store[shape];
+        (0..5)
+            .map(|c| rows.iter().map(|r| int(&r[c])).sum())
+            .collect()
+    };
+    for (shape, statuses) in &mut expected {
+        let logged = &log[shape];
+        let mut seen: Vec<&str> = logged.iter().map(|r| r[0].as_str().unwrap()).collect();
+        seen.sort_unstable();
+        statuses.sort_unstable();
+        assert_eq!(&seen, statuses, "sys.query_log statuses of {shape}");
+        let timeouts = logged
+            .iter()
+            .filter(|r| r[1].as_str().is_some_and(|e| e.contains("query timeout")))
+            .count();
+        let failures = seen.iter().filter(|s| **s != "OK").count();
+        assert_eq!(
+            stored(shape)[..3],
+            [seen.len() as u64, failures as u64, timeouts as u64],
+            "sys.query_store executions/failures/timeouts of {shape}"
+        );
+    }
+    assert_eq!(stored(&hash(times_out))[2], 1, "the timeout is a timeout");
+
+    // What a result set said about itself is what was logged and stored.
+    for sql in [scan, join] {
+        let r = results[sql].as_ref().unwrap();
+        let m = counters(r);
+        let logged = &log[&hash(sql)][0];
+        assert_eq!(int(&logged[2]), r.rows().len() as u64, "rows of {sql}");
+        assert_eq!(int(&logged[3]), m["batches"], "batches of {sql}");
+        assert_eq!(
+            stored(&hash(sql))[3..],
+            [m["partitions_spilled"], m["bytes_spilled"]],
+            "spill of {sql}"
+        );
+    }
+    let join_spill = &stored(&hash(join))[3..];
+    assert!(
+        join_spill[0] > 0,
+        "a 64-byte budget must make the join spill"
+    );
+    // EXPLAIN ANALYZE ran the same plan: its text, its log row and its
+    // Query Store row describe one execution.
+    let Ok(QueryResult::Explain(text)) = &results[explain.as_str()] else {
+        panic!("expected explain output");
+    };
+    assert_eq!(
+        int(&log[&hash(&explain)][0][2]),
+        number_after(text, "rows returned="),
+        "{text}"
+    );
+    let spill_line = text.split("spill:").nth(1).unwrap();
+    assert_eq!(
+        stored(&hash(&explain))[3..],
+        [
+            number_after(spill_line, "partitions="),
+            number_after(spill_line, "bytes="),
+        ],
+        "{text}"
+    );
+    assert_eq!(&stored(&hash(&explain))[3..], join_spill, "same plan");
+    // A SELECT that failed after spilling still reports the spill, and
+    // the database's cumulative counters hold exactly what the Query
+    // Store holds.
+    assert!(
+        stored(&hash(fails_late))[3] > 0,
+        "the failed SELECT's spill vanished"
+    );
+    let stored_bytes: u64 = store.values().flatten().map(|r| int(&r[4])).sum();
+    assert_eq!(stored_bytes, spilled() - spilled_before);
 }

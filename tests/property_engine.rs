@@ -566,10 +566,8 @@ fn hash_joins_agree_with_row_mode_nested_loops_and_their_spilled_selves() {
                 let spilled = sorted(starved.execute(&sql).unwrap().rows().to_vec());
                 assert_eq!(batch, spilled, "in memory vs spilled, {what}");
             }
-            let metrics = starved.exec_context().metrics.snapshot();
-            let spilled = metrics.iter().find(|(n, _)| *n == "partitions_spilled");
             assert!(
-                spilled.is_some_and(|(_, n)| *n > 0),
+                starved.exec_context().metrics.counters().partitions_spilled > 0,
                 "{shape:?} seed {seed}: the 64-byte budget never spilled"
             );
         }

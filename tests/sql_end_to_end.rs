@@ -447,13 +447,33 @@ fn set_query_timeout_aborts_slow_queries_cleanly() {
 
     db.execute("SET query_timeout_ms = 1").unwrap();
     let err = db.execute(heavy).unwrap_err();
+    assert_eq!(err.code(), "TIMEOUT", "{err}");
     assert!(
         err.to_string().contains("query timeout exceeded"),
         "expected a clean timeout error, got: {err}"
     );
 
-    // Zero clears the deadline; the same query now completes.
+    // Zero clears the deadline.
     db.execute("SET query_timeout_ms = 0").unwrap();
+    // The expiry is filed as a timeout, not just as a failure.
+    let hash = format!("{:016x}", cstore::sql::query_shape(heavy).hash);
+    let stored = db
+        .execute(&format!(
+            "SELECT executions, failures, timeouts FROM sys.query_store \
+             WHERE query_hash = '{hash}'"
+        ))
+        .unwrap();
+    assert_eq!(stored.rows()[0].values(), vec![Value::Int64(1); 3]);
+    let logged = db
+        .execute(&format!(
+            "SELECT status, error FROM sys.query_log WHERE query_hash = '{hash}'"
+        ))
+        .unwrap();
+    assert_eq!(logged.rows()[0].get(0), &Value::str("ERROR"));
+    let error = logged.rows()[0].get(1).as_str().unwrap();
+    assert!(error.contains("query timeout exceeded"), "{error}");
+
+    // With the deadline cleared the same query completes.
     let rows = db.execute(heavy).unwrap();
     assert!(rows.rows()[0].get(0).as_i64().unwrap() > 0);
 

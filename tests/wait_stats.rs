@@ -254,8 +254,8 @@ fn query_log_hash_and_capacity() {
     let (h1, h2) = db.with_query_log(|log| {
         let find = |needle: &str| {
             log.entries()
-                .find(|e| e.text.contains(needle))
-                .map(|e| e.query_hash)
+                .find(|(_, e)| e.text.contains(needle))
+                .map(|(_, e)| e.shape.hash)
                 .unwrap()
         };
         (find("id = 17"), find("id = 99"))
