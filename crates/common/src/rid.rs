@@ -43,6 +43,18 @@ impl RowId {
             tuple: packed as u32,
         }
     }
+
+    /// The packed id as an `Int64` cell — how a scan's row-id
+    /// pseudo-column carries it. The bits are reinterpreted, not
+    /// converted: groups from `2^31` up (a transaction's synthetic group
+    /// `u32::MAX`) come out negative and round-trip all the same.
+    pub fn to_i64(self) -> i64 {
+        self.pack().cast_signed()
+    }
+
+    pub fn from_i64(cell: i64) -> Self {
+        RowId::unpack(cell.cast_unsigned())
+    }
 }
 
 impl fmt::Display for RowId {
@@ -59,6 +71,18 @@ mod tests {
     fn pack_roundtrip() {
         let r = RowId::new(RowGroupId(7), 123_456);
         assert_eq!(RowId::unpack(r.pack()), r);
+    }
+
+    #[test]
+    fn i64_cell_roundtrip_including_the_synthetic_group() {
+        for r in [
+            RowId::new(RowGroupId(0), 0),
+            RowId::new(RowGroupId(7), 123_456),
+            RowId::new(RowGroupId(u32::MAX), u32::MAX),
+        ] {
+            assert_eq!(RowId::from_i64(r.to_i64()), r);
+        }
+        assert!(RowId::new(RowGroupId(u32::MAX), 3).to_i64() < 0);
     }
 
     #[test]

@@ -43,12 +43,12 @@ struct CatalogEntry {
 }
 
 /// What [`Database::run_plan`] hands back besides the profile.
-struct PlanRun {
+pub(crate) struct PlanRun {
     /// The optimized plan that ran.
-    plan: cstore_planner::LogicalPlan,
-    rows: Vec<Row>,
-    mode: ExecMode,
-    bitmap_filters: usize,
+    pub(crate) plan: cstore_planner::LogicalPlan,
+    pub(crate) rows: Vec<Row>,
+    pub(crate) mode: ExecMode,
+    pub(crate) bitmap_filters: usize,
 }
 
 /// The result of executing one statement.
@@ -457,7 +457,7 @@ impl Database {
             Statement::Set { option, value } => self.run_set(&option, value),
             dml @ (Statement::Insert { .. }
             | Statement::Delete { .. }
-            | Statement::Update { .. }) => self.run_autocommit_dml(dml),
+            | Statement::Update { .. }) => self.run_autocommit_dml(dml, exec),
             // Dispatched by `execute_statement` before this point.
             Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::Sql(
                 "transaction control cannot nest inside a statement".into(),
@@ -595,10 +595,11 @@ impl Database {
     }
 
     /// Optimize, lower and drain one bound plan — the single pipeline
-    /// under SELECT, UNION ALL and EXPLAIN ANALYZE. However it ends,
-    /// `exec` is left holding what the plan did, so a query that fails
-    /// mid-execution still reports the work it performed.
-    fn run_plan(
+    /// under SELECT, UNION ALL, EXPLAIN ANALYZE and the victim search of
+    /// UPDATE/DELETE. However it ends, `exec` is left holding what the
+    /// plan did, so a query that fails mid-execution still reports the
+    /// work it performed.
+    pub(crate) fn run_plan(
         &self,
         plan: cstore_planner::LogicalPlan,
         catalog: &dyn cstore_planner::CatalogProvider,
@@ -693,7 +694,8 @@ impl Database {
         if health.is_read_only() {
             return;
         }
-        if let Some(e) = self.wal_status().and_then(|s| s.failed) {
+        let wal = self.wal.lock().clone();
+        if let Some(e) = wal.and_then(|w| w.failure()) {
             health.degrade(format!("WAL is failed: {e}"));
             return;
         }

@@ -21,8 +21,8 @@ use cstore_delta::wal::TxnApplyOp;
 use cstore_delta::{ColumnStoreTable, TableSnapshot, Wal, WalRecord};
 use cstore_exec::{ExecProfile, Expr};
 use cstore_rowstore::HeapTable;
-use cstore_sql::ast::Statement;
-use cstore_sql::{bind_expr_on_schema, coerce, literal_value};
+use cstore_sql::ast::{AstExpr, Statement};
+use cstore_sql::{bind_expr_on_schema, bind_victim_scan, coerce, literal_value};
 
 use crate::catalog::{Catalog, TableEntry};
 use crate::database::{Database, QueryResult, TxnAck};
@@ -301,7 +301,11 @@ impl Database {
     /// search, one conflict rule, one backpressure admission point, and
     /// a statement that fails or loses a conflict leaves nothing behind.
     /// Heap tables are not transactional and keep their direct path.
-    pub(crate) fn run_autocommit_dml(&self, stmt: Statement) -> Result<QueryResult> {
+    pub(crate) fn run_autocommit_dml(
+        &self,
+        stmt: Statement,
+        exec: &mut ExecProfile,
+    ) -> Result<QueryResult> {
         let (Statement::Insert { table, .. }
         | Statement::Delete { table, .. }
         | Statement::Update { table, .. }) = &stmt
@@ -312,7 +316,7 @@ impl Database {
             return self.run_heap_dml(&h, stmt);
         }
         let mut txn = ActiveTxn::new(self.txns.next_id(), true);
-        match self.txn_dml(&mut txn, stmt) {
+        match self.txn_dml(&mut txn, stmt, exec) {
             Ok(result) => self.commit_active(txn).map(|()| result),
             Err(e) => {
                 self.abort_txn(&txn, e.to_string());
@@ -347,20 +351,26 @@ impl Database {
             Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::Sql(
                 "transaction control cannot nest inside a statement".into(),
             )),
-            dml => self.txn_dml(txn, dml),
+            dml => self.txn_dml(txn, dml, exec),
         }
     }
 
     /// Buffer one INSERT, DELETE or UPDATE into the transaction's overlay.
-    fn txn_dml(&self, txn: &mut ActiveTxn, stmt: Statement) -> Result<QueryResult> {
+    /// `exec` is left holding what an UPDATE's or DELETE's victim scan did.
+    fn txn_dml(
+        &self,
+        txn: &mut ActiveTxn,
+        stmt: Statement,
+        exec: &mut ExecProfile,
+    ) -> Result<QueryResult> {
         match stmt {
             Statement::Insert { table, rows } => self.txn_insert(txn, &table, rows),
-            Statement::Delete { table, selection } => self.txn_delete(txn, &table, selection),
+            Statement::Delete { table, selection } => self.txn_delete(txn, &table, selection, exec),
             Statement::Update {
                 table,
                 assignments,
                 selection,
-            } => self.txn_update(txn, &table, assignments, selection),
+            } => self.txn_update(txn, &table, assignments, selection, exec),
             other => Err(Error::Sql(format!("not a DML statement: {other:?}"))),
         }
     }
@@ -619,7 +629,7 @@ impl Database {
         &self,
         txn: &mut ActiveTxn,
         table: &str,
-        value_rows: Vec<Vec<cstore_sql::ast::AstExpr>>,
+        value_rows: Vec<Vec<AstExpr>>,
     ) -> Result<QueryResult> {
         self.check_writable()?;
         let t = self.txn_table(table)?;
@@ -657,13 +667,13 @@ impl Database {
         &self,
         txn: &mut ActiveTxn,
         table: &str,
-        selection: Option<cstore_sql::ast::AstExpr>,
+        selection: Option<AstExpr>,
+        exec: &mut ExecProfile,
     ) -> Result<QueryResult> {
         self.check_writable()?;
         let t = self.txn_table(table)?;
-        let bound = Self::bind_selection(selection, t.schema(), table)?;
         let key = table.to_ascii_lowercase();
-        let victims = self.find_victims(txn, &key, &t, &bound)?;
+        let victims = self.scan_victims(txn, table, &key, &t, selection.as_ref(), exec)?;
         let n = victims.len();
         for (rid, row) in victims {
             self.txn_delete_one(txn, &key, rid, row)?;
@@ -695,16 +705,16 @@ impl Database {
         &self,
         txn: &mut ActiveTxn,
         table: &str,
-        assignments: Vec<(String, cstore_sql::ast::AstExpr)>,
-        selection: Option<cstore_sql::ast::AstExpr>,
+        assignments: Vec<(String, AstExpr)>,
+        selection: Option<AstExpr>,
+        exec: &mut ExecProfile,
     ) -> Result<QueryResult> {
         self.check_writable()?;
         let t = self.txn_table(table)?;
         let schema = t.schema();
-        let bound_sel = Self::bind_selection(selection, schema, table)?;
         let bound_assign = Self::bind_assignments(&assignments, schema, table)?;
         let key = table.to_ascii_lowercase();
-        let victims = self.find_victims(txn, &key, &t, &bound_sel)?;
+        let victims = self.scan_victims(txn, table, &key, &t, selection.as_ref(), exec)?;
         // Compute and validate every replacement before touching
         // anything: a bad assignment must not half-delete a row.
         let mut updates = Vec::with_capacity(victims.len());
@@ -729,32 +739,36 @@ impl Database {
         Ok(QueryResult::Affected(n))
     }
 
-    /// The victim search: rows of the transaction's effective view of
-    /// table `key` that match `selection`, with their row ids.
-    fn find_victims(
+    /// The victim search of an UPDATE or DELETE, planned as what it is —
+    /// `SELECT *, <row id> FROM table WHERE selection` — and run through
+    /// the query pipeline over the transaction's effective view of the
+    /// table: segment elimination, predicates on encoded data, batch mode,
+    /// the statement deadline, and a profile left in `exec`. Its errors
+    /// are a SELECT's, too: a pushed predicate may drop a row before a
+    /// residual expression would have failed on it.
+    fn scan_victims(
         &self,
         txn: &mut ActiveTxn,
+        table: &str,
         key: &str,
         t: &ColumnStoreTable,
-        selection: &Option<Expr>,
+        selection: Option<&AstExpr>,
+        exec: &mut ExecProfile,
     ) -> Result<Vec<(RowId, Row)>> {
-        let snap = txn.effective(key, t);
-        let mut out = Vec::new();
-        for g in snap.groups() {
-            let visible = snap.visible_bitmap(g);
-            for tuple in visible.iter_ones() {
-                let row = Row::new(g.row_values(tuple)?);
-                if Self::row_matches(selection, &row)? {
-                    out.push((RowId::new(g.id(), tuple as u32), row));
+        let plan = bind_victim_scan(table, selection, &self.catalog)?;
+        let view = txn.effective(key, t).into_owned();
+        let snaps = Arc::new(HashMap::from([(key.to_owned(), view)]));
+        let run = self.run_plan(plan, &self.catalog, Some(snaps), exec)?;
+        run.rows
+            .into_iter()
+            .map(|row| {
+                let mut values = row.into_values();
+                match values.pop().and_then(|rid| rid.as_i64()) {
+                    Some(rid) => Ok((RowId::from_i64(rid), Row::new(values))),
+                    None => Err(Error::Execution("victim scan lost its row ids".into())),
                 }
-            }
-        }
-        for (rid, row) in snap.delta_rows() {
-            if Self::row_matches(selection, row)? {
-                out.push((*rid, row.clone()));
-            }
-        }
-        Ok(out)
+            })
+            .collect()
     }
 
     /// Evaluate INSERT value lists into rows, coercing each literal to
@@ -762,7 +776,7 @@ impl Database {
     fn literal_rows(
         table: &str,
         schema: &Schema,
-        value_rows: Vec<Vec<cstore_sql::ast::AstExpr>>,
+        value_rows: Vec<Vec<AstExpr>>,
     ) -> Result<Vec<Row>> {
         let mut rows = Vec::with_capacity(value_rows.len());
         for exprs in value_rows {
@@ -783,26 +797,9 @@ impl Database {
         Ok(rows)
     }
 
-    fn row_matches(selection: &Option<Expr>, row: &Row) -> Result<bool> {
-        Ok(match selection {
-            None => true,
-            Some(e) => matches!(e.eval_row(row)?, Value::Bool(true)),
-        })
-    }
-
-    fn bind_selection(
-        selection: Option<cstore_sql::ast::AstExpr>,
-        schema: &Schema,
-        table: &str,
-    ) -> Result<Option<Expr>> {
-        selection
-            .map(|s| bind_expr_on_schema(&s, schema, table))
-            .transpose()
-    }
-
     /// Bind `SET col = expr` pairs to (column index, column type, expr).
     fn bind_assignments(
-        assignments: &[(String, cstore_sql::ast::AstExpr)],
+        assignments: &[(String, AstExpr)],
         schema: &Schema,
         table: &str,
     ) -> Result<Vec<(usize, DataType, Expr)>> {
@@ -829,19 +826,27 @@ impl Database {
     }
 
     /// DML on a heap table. The row-store baseline is not transactional:
-    /// the statement applies directly, under the catalog's write lock.
+    /// the statement applies directly, under the catalog's write lock. Its
+    /// victims come from a row-at-a-time loop, the right shape over a row
+    /// store.
     fn run_heap_dml(&self, h: &HeapTable, stmt: Statement) -> Result<QueryResult> {
         self.check_writable()?;
         let schema = h.schema();
-        let victims = |selection, table: &str| -> Result<Vec<_>> {
-            let bound = Self::bind_selection(selection, schema, table)?;
-            h.scan_with_rids()
-                .filter_map(|(rid, row)| match Self::row_matches(&bound, &row) {
-                    Ok(true) => Some(Ok((rid, row))),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                })
-                .collect()
+        let victims = |selection: Option<AstExpr>, table: &str| -> Result<Vec<_>> {
+            let bound = selection
+                .map(|s| bind_expr_on_schema(&s, schema, table))
+                .transpose()?;
+            let mut out = Vec::new();
+            for (rid, row) in h.scan_with_rids() {
+                let hit = match &bound {
+                    None => true,
+                    Some(e) => matches!(e.eval_row(&row)?, Value::Bool(true)),
+                };
+                if hit {
+                    out.push((rid, row));
+                }
+            }
+            Ok(out)
         };
         match stmt {
             Statement::Insert { table, rows } => {

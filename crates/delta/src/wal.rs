@@ -1267,6 +1267,15 @@ impl Wal {
         self.core.wal_state.lock().next_lsn.saturating_sub(1)
     }
 
+    /// The sticky failure, if the log has one — [`WalStatus::failed`]
+    /// without the rest of the status, and so without `wal_store`, which
+    /// the log writer holds for the length of every append + fsync. The
+    /// health check in front of each write statement reads this; through
+    /// [`Wal::status`] it queued behind whichever flush was in flight.
+    pub fn failure(&self) -> Option<String> {
+        self.core.wal_state.lock().failed.clone()
+    }
+
     /// Point-in-time status snapshot for `sys.wal`.
     pub fn status(&self) -> WalStatus {
         let (segment_count, active_segment) = {

@@ -75,6 +75,18 @@ impl ParallelScan {
         self
     }
 
+    /// Append the row-id column (see [`ColumnStoreScan::with_row_ids`]).
+    /// A row id names its group, so it is the same whichever partition
+    /// produced the row.
+    pub fn with_row_ids(mut self) -> Self {
+        let parts = std::mem::take(&mut self.partitions);
+        self.partitions = parts.into_iter().map(|p| p.with_row_ids()).collect();
+        if let Some(part) = self.partitions.first() {
+            self.output_types = part.output_types().to_vec();
+        }
+        self
+    }
+
     fn start(&mut self) {
         let scans = std::mem::take(&mut self.partitions);
         let (tx, rx) = sync_channel::<Result<Batch>>(scans.len() * 4);
@@ -232,6 +244,22 @@ mod tests {
             let par_rows = collect_rows(Box::new(par)).unwrap();
             assert_eq!(keys(&par_rows), keys(&serial_rows), "k={k}");
         }
+    }
+
+    #[test]
+    fn row_ids_do_not_depend_on_the_partitioning() {
+        let t = table(5000);
+        let ctx = ExecContext::default();
+        let sorted = |op: BoxedBatchOp| {
+            let mut rows = collect_rows(op).unwrap();
+            rows.sort();
+            rows
+        };
+        let serial =
+            ColumnStoreScan::new(t.snapshot(), vec![0], vec![], ctx.clone()).with_row_ids();
+        let par = ParallelScan::new(t.snapshot(), vec![0], vec![], ctx, 3).with_row_ids();
+        assert_eq!(par.output_types(), &[DataType::Int64, DataType::Int64]);
+        assert_eq!(sorted(Box::new(par)), sorted(Box::new(serial)));
     }
 
     #[test]

@@ -10,17 +10,23 @@
 //! 3. **bitmap filters** — semi-join filters installed by a downstream
 //!    hash join drop probe rows that cannot join;
 //! 4. only then are the *projected* columns decoded, and only for groups
-//!    that still have qualifying rows.
+//!    that still have qualifying rows — the whole segment when many do,
+//!    just the qualifying positions when few do.
 //!
 //! Delta-store rows have no segments; they are filtered row-at-a-time and
 //! delivered through the same batch interface (the paper's scans do the
 //!    same union of compressed + delta data).
+//!
+//! A scan built [`ColumnStoreScan::with_row_ids`] also says *where* each
+//! row lives, in a trailing `Int64` column of [`RowId::to_i64`] cells —
+//! how UPDATE and DELETE find their victims with the machinery above.
 
 use std::sync::{Arc, OnceLock};
 
-use cstore_common::{Bitmap, DataType, Error, Result, Row};
+use cstore_common::{Bitmap, DataType, Error, Result, Row, RowId, Value};
 use cstore_delta::TableSnapshot;
 use cstore_storage::pred::ColumnPred;
+use cstore_storage::ColumnSegment;
 
 use crate::batch::Batch;
 use crate::bloom::BitmapFilter;
@@ -41,17 +47,20 @@ pub struct ColumnStoreScan {
     preds: Vec<(usize, ColumnPred)>,
     /// Bitmap filters: (table column, slot filled by the join's build).
     filters: Vec<(usize, FilterSlot)>,
+    /// Whether a row-id column follows the projected ones.
+    row_ids: bool,
     ctx: ExecContext,
     output_types: Vec<DataType>,
     state: Option<ScanState>,
 }
 
 struct ScanState {
-    /// (decoded projected vectors, qualifying bitmap) per surviving group,
-    /// consumed lazily.
+    /// Surviving groups, opened lazily (popped from the back).
     pending_groups: Vec<usize>,
     current: Option<GroupCursor>,
-    delta_done: bool,
+    /// The qualifying delta rows not yet emitted; `None` until the
+    /// compressed groups are exhausted.
+    delta: Option<std::vec::IntoIter<Row>>,
 }
 
 struct GroupCursor {
@@ -76,6 +85,7 @@ impl ColumnStoreScan {
             projection,
             preds,
             filters: Vec::new(),
+            row_ids: false,
             ctx,
             output_types,
             state: None,
@@ -85,6 +95,15 @@ impl ColumnStoreScan {
     /// Attach a bitmap-filter slot on table column `col`.
     pub fn with_bitmap_filter(mut self, col: usize, slot: FilterSlot) -> Self {
         self.filters.push((col, slot));
+        self
+    }
+
+    /// Append a row-id column to the output: an `Int64` holding
+    /// [`RowId::to_i64`] of `(group id, tuple)` for a compressed row and
+    /// of the stored row id for a delta row.
+    pub fn with_row_ids(mut self) -> Self {
+        self.row_ids = true;
+        self.output_types.push(DataType::Int64);
         self
     }
 
@@ -111,7 +130,7 @@ impl ColumnStoreScan {
         Ok(ScanState {
             pending_groups,
             current: None,
-            delta_done: false,
+            delta: None,
         })
     }
 
@@ -119,6 +138,15 @@ impl ColumnStoreScan {
     /// qualify (group skipped entirely after predicate evaluation).
     fn open_group(&self, group_idx: usize) -> Result<Option<GroupCursor>> {
         let g = &self.snapshot.groups()[group_idx];
+        // Each column's segment is opened at most once per group: opening
+        // an archived one decompresses and deserialises it.
+        let mut opened: Vec<Option<Arc<ColumnSegment>>> = vec![None; g.n_columns()];
+        let mut segment = |col: usize| -> Result<Arc<ColumnSegment>> {
+            match &mut opened[col] {
+                Some(seg) => Ok(Arc::clone(seg)),
+                slot => Ok(Arc::clone(slot.insert(g.open_segment(col)?))),
+            }
+        };
         // Visible rows (delete bitmap applied).
         let mut qualifying = self.snapshot.visible_bitmap(g);
         // Predicates evaluated on encoded segments.
@@ -126,8 +154,7 @@ impl ColumnStoreScan {
             if !qualifying.any() {
                 break;
             }
-            let seg = g.open_segment(*col)?;
-            qualifying.intersect_with(&seg.eval_pred(pred)?);
+            qualifying.intersect_with(&segment(*col)?.eval_pred(pred)?);
         }
         if !qualifying.any() {
             return Ok(None);
@@ -147,15 +174,10 @@ impl ColumnStoreScan {
             let decoded: &Vector = match self.projection.iter().position(|c| c == col) {
                 Some(pos) => match &mut cache[pos] {
                     Some(v) => v,
-                    slot @ None => {
-                        *slot = Some(Vector::from_segment(g.open_segment(*col)?.decode()));
-                        slot.as_ref().ok_or_else(|| {
-                            Error::Execution("projection cache slot vanished".into())
-                        })?
-                    }
+                    slot => slot.insert(Vector::from_segment(segment(*col)?.decode())),
                 },
                 None => {
-                    fresh = Vector::from_segment(g.open_segment(*col)?.decode());
+                    fresh = Vector::from_segment(segment(*col)?.decode());
                     &fresh
                 }
             };
@@ -179,26 +201,44 @@ impl ColumnStoreScan {
                 .metrics
                 .add(&self.ctx.metrics.rows_dropped_by_bitmap, dropped);
         }
-        if !qualifying.any() {
+        let n_qualifying = qualifying.count_ones();
+        if n_qualifying == 0 {
             return Ok(None);
         }
         self.ctx.metrics.add(&self.ctx.metrics.groups_scanned, 1);
-        self.ctx.metrics.add(
-            &self.ctx.metrics.rows_scanned,
-            qualifying.count_ones() as u64,
-        );
-        // Decode the remaining projected columns only now.
-        let vectors = cache
-            .into_iter()
-            .zip(&self.projection)
-            .map(|(cached, &c)| match cached {
-                Some(v) => Ok(v),
-                None => Ok(Vector::from_segment(g.open_segment(c)?.decode())),
-            })
-            .collect::<Result<Vec<_>>>()?;
+        self.ctx
+            .metrics
+            .add(&self.ctx.metrics.rows_scanned, n_qualifying as u64);
+        // Decode the projected columns only now. When few rows of the
+        // group qualify (the threshold `next_from_cursor` gathers below),
+        // fetch just those positions and hand on a dense cursor, rather
+        // than decoding whole segments to pick a handful of rows out.
+        let positions = (n_qualifying * 8 < g.n_rows()).then(|| qualifying.to_indices());
+        let mut vectors = Vec::with_capacity(self.output_types.len());
+        for (cached, &c) in cache.into_iter().zip(&self.projection) {
+            vectors.push(match (&positions, cached) {
+                (Some(at), Some(v)) => v.gather(at),
+                (Some(at), None) => Vector::from_segment(segment(c)?.decode_positions(at)),
+                (None, Some(v)) => v,
+                (None, None) => Vector::from_segment(segment(c)?.decode()),
+            });
+        }
+        if self.row_ids {
+            let rid = |tuple: u32| RowId::new(g.id(), tuple).to_i64();
+            vectors.push(Vector::I64 {
+                values: match &positions {
+                    Some(at) => at.iter().map(|&t| rid(t)).collect(),
+                    None => (0..g.n_rows() as u32).map(rid).collect(),
+                },
+                nulls: None,
+            });
+        }
         Ok(Some(GroupCursor {
             vectors,
-            qualifying,
+            qualifying: match positions {
+                Some(at) => Bitmap::ones(at.len()),
+                None => qualifying,
+            },
             offset: 0,
         }))
     }
@@ -240,11 +280,10 @@ impl ColumnStoreScan {
         None
     }
 
-    /// Batches from delta rows (filtered row-at-a-time).
-    fn delta_batches(&self) -> Result<Option<Batch>> {
-        // Collect all qualifying delta rows once; small by construction.
+    /// The qualifying delta rows (filtered row-at-a-time), projected.
+    fn delta_rows(&self) -> Vec<Row> {
         let mut rows: Vec<Row> = Vec::new();
-        'rows: for (_, row) in self.snapshot.delta_rows() {
+        'rows: for (rid, row) in self.snapshot.delta_rows() {
             for (col, pred) in &self.preds {
                 if !pred.matches(row.get(*col)) {
                     continue 'rows;
@@ -264,10 +303,11 @@ impl ColumnStoreScan {
                     }
                 }
             }
-            rows.push(row.project(&self.projection));
-        }
-        if rows.is_empty() {
-            return Ok(None);
+            let mut out = row.project(&self.projection).into_values();
+            if self.row_ids {
+                out.push(Value::Int64(rid.to_i64()));
+            }
+            rows.push(Row::new(out));
         }
         self.ctx
             .metrics
@@ -275,8 +315,7 @@ impl ColumnStoreScan {
         self.ctx
             .metrics
             .add(&self.ctx.metrics.rows_scanned_delta, rows.len() as u64);
-        self.ctx.metrics.add(&self.ctx.metrics.batches, 1);
-        Ok(Some(Batch::from_rows(&self.output_types, &rows)?))
+        rows
     }
 }
 
@@ -303,15 +342,19 @@ impl BatchOperator for ColumnStoreScan {
                 self.state_mut()?.current = cursor;
                 continue;
             }
-            let state = self.state_mut()?;
-            if !state.delta_done {
-                state.delta_done = true;
-                let b = self.delta_batches()?;
-                if b.is_some() {
-                    return Ok(b);
-                }
+            // Delta rows leave in batches of at most `batch_size`, too.
+            if self.state_mut()?.delta.is_none() {
+                let rows = self.delta_rows();
+                self.state_mut()?.delta = Some(rows.into_iter());
             }
-            return Ok(None);
+            let batch_size = self.ctx.batch_size;
+            let pending = self.state_mut()?.delta.iter_mut().flatten();
+            let chunk: Vec<Row> = pending.take(batch_size).collect();
+            if chunk.is_empty() {
+                return Ok(None);
+            }
+            self.ctx.metrics.add(&self.ctx.metrics.batches, 1);
+            return Ok(Some(Batch::from_rows(&self.output_types, &chunk)?));
         }
     }
 }
@@ -514,6 +557,114 @@ mod tests {
             .find(|(n, _)| *n == "rows_dropped_by_bitmap")
             .unwrap()
             .1
+    }
+
+    /// Drain `scan`, returning the rows and the size of every batch.
+    fn drain(mut scan: ColumnStoreScan) -> (Vec<Row>, Vec<usize>) {
+        let (mut rows, mut sizes) = (Vec::new(), Vec::new());
+        while let Some(b) = scan.next().unwrap() {
+            sizes.push(b.n_rows());
+            rows.extend(b.to_rows());
+        }
+        (rows, sizes)
+    }
+
+    #[test]
+    fn delta_rows_leave_in_batches_of_at_most_batch_size() {
+        let t = make_table();
+        // Only the ten delta rows have k >= 3000.
+        let preds = vec![(
+            0,
+            ColumnPred::Cmp {
+                op: CmpOp::Ge,
+                value: v(3000),
+            },
+        )];
+        let scan = |batch_size: usize| {
+            let ctx = ExecContext::default().with_batch_size(batch_size);
+            ColumnStoreScan::new(t.snapshot(), vec![0, 2], preds.clone(), ctx)
+        };
+        let (whole, _) = drain(scan(900));
+        assert_eq!(whole.len(), 10);
+        let (chunked, sizes) = drain(scan(7));
+        assert_eq!(sizes, vec![7, 3]);
+        assert_eq!(chunked, whole);
+        let (with_rids, sizes) = drain(scan(7).with_row_ids());
+        assert_eq!(sizes, vec![7, 3]);
+        let stripped: Vec<Row> = with_rids.iter().map(|r| r.project(&[0, 1])).collect();
+        assert_eq!(stripped, whole);
+    }
+
+    #[test]
+    fn row_ids_locate_the_rows_they_come_with() {
+        let t = make_table();
+        let snap = t.snapshot();
+        // Dense groups (no predicate) and a sparse one (k = 1234).
+        let point = vec![(
+            0,
+            ColumnPred::Cmp {
+                op: CmpOp::Eq,
+                value: v(1234),
+            },
+        )];
+        for (preds, expect) in [(vec![], 3010), (point, 1)] {
+            let scan = ColumnStoreScan::new(
+                snap.clone(),
+                vec![0, 1, 2],
+                preds,
+                ExecContext::default().with_batch_size(256),
+            )
+            .with_row_ids();
+            assert_eq!(scan.output_types().last(), Some(&DataType::Int64));
+            let rows = collect_rows(Box::new(scan)).unwrap();
+            assert_eq!(rows.len(), expect);
+            for row in rows {
+                let rid = RowId::from_i64(row.get(3).as_i64().unwrap());
+                let stored = match snap.group_by_id(rid.group) {
+                    Some(g) => Row::new(g.row_values(rid.tuple as usize).unwrap()),
+                    None => {
+                        let delta = snap.delta_rows().iter().find(|(r, _)| *r == rid);
+                        delta.unwrap_or_else(|| panic!("no row at {rid}")).1.clone()
+                    }
+                };
+                assert_eq!(row.project(&[0, 1, 2]), stored, "{rid}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sparse_selection_is_fetched_by_position_into_one_dense_batch() {
+        let t = make_table();
+        t.archive_all().unwrap();
+        let ctx = ExecContext::default().with_batch_size(100);
+        // 8 of group 1's 1,000 rows, scattered over its ten batch windows,
+        // one of them under a NULL `amt` (1505 = 7 * 215).
+        let keys: Vec<Value> = [1003, 1101, 1250, 1399, 1505, 1702, 1850, 1999]
+            .map(v)
+            .to_vec();
+        let scan = ColumnStoreScan::new(
+            t.snapshot(),
+            vec![2, 0, 1],
+            vec![(0, ColumnPred::InList(keys.clone()))],
+            ctx.clone(),
+        );
+        let (rows, sizes) = drain(scan);
+        assert_eq!(sizes, vec![8], "dense, not one gather per window");
+        let got: Vec<Value> = rows.iter().map(|r| r.get(1).clone()).collect();
+        assert_eq!(got, keys);
+        for r in &rows {
+            let k = r.get(1).as_i64().unwrap();
+            let amt = if k % 7 == 0 {
+                Value::Null
+            } else {
+                Value::Float64(k as f64 / 2.0)
+            };
+            assert_eq!(r.get(0), &amt, "{k}");
+            assert_eq!(r.get(2), &Value::str(format!("c{}", k % 4)));
+        }
+        let m = ctx.metrics.counters();
+        assert_eq!((m.groups_scanned, m.groups_eliminated), (1, 2));
+        assert_eq!((m.rows_scanned, m.batches), (8, 1));
     }
 
     #[test]

@@ -73,6 +73,11 @@ pub fn batch_mode_cost(plan: &LogicalPlan, catalog: &dyn CatalogProvider) -> f64
 
 /// Resolve `Auto` to a concrete mode for this plan.
 pub fn choose_mode(mode: ExecMode, plan: &LogicalPlan, catalog: &dyn CatalogProvider) -> ExecMode {
+    // Row ids come from the batch scan; row mode never learns about them,
+    // so such a plan is batch whatever was asked for.
+    if scans_row_ids(plan) {
+        return ExecMode::Batch;
+    }
     match mode {
         ExecMode::Auto => {
             if requires_batch(plan) {
@@ -85,6 +90,13 @@ pub fn choose_mode(mode: ExecMode, plan: &LogicalPlan, catalog: &dyn CatalogProv
             }
         }
         m => m,
+    }
+}
+
+fn scans_row_ids(plan: &LogicalPlan) -> bool {
+    match plan {
+        LogicalPlan::Scan { row_ids, .. } => *row_ids,
+        other => other.children().iter().any(|c| scans_row_ids(c)),
     }
 }
 
@@ -139,6 +151,7 @@ mod tests {
             schema,
             projection: None,
             pushed: vec![],
+            row_ids: false,
         };
         (c, plan)
     }
@@ -153,6 +166,16 @@ mod tests {
     fn tiny_inputs_choose_row() {
         let (c, plan) = catalog_with(10);
         assert_eq!(choose_mode(ExecMode::Auto, &plan, &c), ExecMode::Row);
+    }
+
+    #[test]
+    fn a_row_id_scan_is_batch_even_when_row_mode_is_forced() {
+        let (c, mut plan) = catalog_with(10);
+        if let LogicalPlan::Scan { row_ids, .. } = &mut plan {
+            *row_ids = true;
+        }
+        assert_eq!(choose_mode(ExecMode::Auto, &plan, &c), ExecMode::Batch);
+        assert_eq!(choose_mode(ExecMode::Row, &plan, &c), ExecMode::Batch);
     }
 
     #[test]

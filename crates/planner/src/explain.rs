@@ -186,11 +186,15 @@ fn render_node(plan: &LogicalPlan, catalog: &dyn CatalogProvider, depth: usize, 
             table,
             projection,
             pushed,
+            row_ids,
             ..
         } => {
             out.push_str(&format!("Scan {table}"));
             if let Some(p) = projection {
                 out.push_str(&format!(" cols={p:?}"));
+            }
+            if *row_ids {
+                out.push_str(" +row_ids");
             }
             if !pushed.is_empty() {
                 out.push_str(" pushed=[");
@@ -262,6 +266,7 @@ mod tests {
                         value: cstore_common::Value::Int64(5),
                     },
                 )],
+                row_ids: false,
             }),
             predicate: Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(100i64)),
         };

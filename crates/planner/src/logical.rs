@@ -17,17 +17,26 @@ pub struct LogicalSortKey {
     pub descending: bool,
 }
 
+/// Name of the pseudo-column a `row_ids` scan appends. No table column
+/// can carry it (`$` is not an identifier character), and no SQL names it:
+/// the scopes the binder resolves against hold table columns only.
+pub const ROW_ID_COLUMN: &str = "$row_id";
+
 /// The logical plan tree.
 #[derive(Clone, Debug)]
 pub enum LogicalPlan {
     /// Base-table scan. `pushed` predicates are single-column constant
     /// predicates the scan evaluates on encoded data; `projection` (when
-    /// set) restricts output to those table columns, in order.
+    /// set) restricts output to those table columns, in order. With
+    /// `row_ids` the output ends in one more column, [`ROW_ID_COLUMN`]: an
+    /// `Int64` locating each row (`RowId::to_i64`) — how UPDATE and DELETE
+    /// plan their victim search. Columnstore tables only, batch mode only.
     Scan {
         table: String,
         schema: Schema,
         projection: Option<Vec<usize>>,
         pushed: Vec<(usize, ColumnPred)>,
+        row_ids: bool,
     },
     Filter {
         input: Box<LogicalPlan>,
@@ -68,11 +77,20 @@ impl LogicalPlan {
     pub fn output_fields(&self) -> Result<Vec<Field>> {
         match self {
             LogicalPlan::Scan {
-                schema, projection, ..
-            } => Ok(match projection {
-                Some(cols) => cols.iter().map(|&c| schema.field(c).clone()).collect(),
-                None => schema.fields().to_vec(),
-            }),
+                schema,
+                projection,
+                row_ids,
+                ..
+            } => {
+                let mut fields: Vec<Field> = match projection {
+                    Some(cols) => cols.iter().map(|&c| schema.field(c).clone()).collect(),
+                    None => schema.fields().to_vec(),
+                };
+                if *row_ids {
+                    fields.push(Field::not_null(ROW_ID_COLUMN, DataType::Int64));
+                }
+                Ok(fields)
+            }
             LogicalPlan::Filter { input, .. } => input.output_fields(),
             LogicalPlan::Project {
                 input,
@@ -189,6 +207,7 @@ mod tests {
             ]),
             projection: None,
             pushed: vec![],
+            row_ids: false,
         }
     }
 
@@ -203,6 +222,13 @@ mod tests {
         assert_eq!(fields.len(), 2);
         assert_eq!(fields[0].name, "c");
         assert_eq!(fields[1].name, "a");
+        if let LogicalPlan::Scan { row_ids, .. } = &mut s {
+            *row_ids = true;
+        }
+        let fields = s.output_fields().unwrap();
+        assert_eq!(fields.len(), 3, "the row id follows the projected columns");
+        assert_eq!(fields[2].name, ROW_ID_COLUMN);
+        assert_eq!(fields[2].data_type, DataType::Int64);
     }
 
     #[test]

@@ -130,11 +130,17 @@ fn build_batch_inner(
             table,
             projection,
             pushed,
+            row_ids,
             ..
         } => {
             let t = catalog
                 .table(table)
                 .ok_or_else(|| Error::Catalog(format!("unknown table '{table}'")))?;
+            if *row_ids && !t.is_columnstore() {
+                return Err(Error::Plan(format!(
+                    "'{table}' is not a columnstore table: its scan has no row ids"
+                )));
+            }
             match t {
                 TableRef::ColumnStore(t) => {
                     // An open transaction pins its stable view (plus its
@@ -161,6 +167,9 @@ fn build_batch_inner(
                             scan = scan.with_bitmap_filter(col, slot);
                             *n_filters += 1;
                         }
+                        if *row_ids {
+                            scan = scan.with_row_ids();
+                        }
                         return Ok(Box::new(scan));
                     }
                     let mut scan =
@@ -168,6 +177,9 @@ fn build_batch_inner(
                     if let Some((col, slot)) = filter {
                         scan = scan.with_bitmap_filter(col, slot);
                         *n_filters += 1;
+                    }
+                    if *row_ids {
+                        scan = scan.with_row_ids();
                     }
                     Ok(Box::new(scan))
                 }
@@ -387,8 +399,14 @@ fn build_row_inner(
             table,
             projection,
             pushed,
+            row_ids,
             ..
         } => {
+            if *row_ids {
+                return Err(Error::Plan(
+                    "a row-id scan runs in batch mode (see `choose_mode`)".into(),
+                ));
+            }
             let t = catalog
                 .table(table)
                 .ok_or_else(|| Error::Catalog(format!("unknown table '{table}'")))?;
@@ -600,6 +618,7 @@ mod tests {
             ]),
             projection: None,
             pushed: vec![],
+            row_ids: false,
         };
         let dim = LogicalPlan::Scan {
             table: "dim".into(),
@@ -609,6 +628,7 @@ mod tests {
             ]),
             projection: None,
             pushed: vec![],
+            row_ids: false,
         };
         let join = LogicalPlan::Join {
             left: Box::new(fact),

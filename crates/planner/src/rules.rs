@@ -195,6 +195,7 @@ fn push_conjuncts(plan: LogicalPlan, conjuncts: Vec<Expr>) -> Result<LogicalPlan
             schema,
             projection,
             mut pushed,
+            row_ids,
         } => {
             // Scans at this stage output the full table schema (pruning
             // runs later), so filter ordinals == table ordinals.
@@ -211,6 +212,7 @@ fn push_conjuncts(plan: LogicalPlan, conjuncts: Vec<Expr>) -> Result<LogicalPlan
                 schema,
                 projection,
                 pushed,
+                row_ids,
             };
             Ok(match conjoin(residual) {
                 Some(p) => LogicalPlan::Filter {
@@ -566,41 +568,39 @@ fn restrict(
             schema,
             projection,
             pushed,
+            row_ids,
         } => {
+            let n_table = schema.len();
+            let narrowed = |cols: Vec<usize>| LogicalPlan::Scan {
+                table,
+                schema,
+                projection: Some(cols),
+                pushed,
+                row_ids,
+            };
             if let Some(existing) = projection {
                 // Already narrowed (idempotent pass): identity mapping.
-                let mapping = (0..existing.len()).map(|i| (i, i)).collect();
-                return Ok((
-                    LogicalPlan::Scan {
-                        table,
-                        schema,
-                        projection: Some(existing),
-                        pushed,
-                    },
-                    mapping,
-                ));
+                let arity = existing.len() + usize::from(row_ids);
+                return Ok((narrowed(existing), (0..arity).map(|i| (i, i)).collect()));
             }
-            let mut cols: Vec<usize> = needed.iter().copied().collect();
+            // The row id is not a table column: it stays, after whichever
+            // columns do.
+            let mut cols: Vec<usize> = needed.iter().copied().filter(|&c| c < n_table).collect();
             // A zero-column scan (e.g. under COUNT(*)) would lose row
             // counts: batches infer row count from their first column.
             // Keep the cheapest column as a row-count carrier.
-            if cols.is_empty() {
+            if cols.is_empty() && !row_ids {
                 cols.push(0);
             }
-            let mapping = cols
+            let mut mapping: FxHashMap<usize, usize> = cols
                 .iter()
                 .enumerate()
                 .map(|(new, &old)| (old, new))
                 .collect();
-            Ok((
-                LogicalPlan::Scan {
-                    table,
-                    schema,
-                    projection: Some(cols),
-                    pushed,
-                },
-                mapping,
-            ))
+            if row_ids {
+                mapping.insert(n_table, cols.len());
+            }
+            Ok((narrowed(cols), mapping))
         }
         LogicalPlan::Filter { input, predicate } => {
             let mut need = needed.clone();
@@ -800,6 +800,7 @@ mod tests {
             schema: Schema::new(cols.iter().map(|(n, t)| Field::nullable(*n, *t)).collect()),
             projection: None,
             pushed: vec![],
+            row_ids: false,
         }
     }
 
@@ -899,6 +900,51 @@ mod tests {
             matches!(exprs[0], Expr::Col(0)),
             "expr remapped to new ordinal"
         );
+    }
+
+    /// The victim search of `UPDATE/DELETE … WHERE a = 5 AND a + b > 7`:
+    /// pushdown and pruning leave the row id where it was, last.
+    #[test]
+    fn a_row_id_scan_keeps_its_row_id_through_pushdown_and_pruning() {
+        let mut victims = scan("t", &[("a", DataType::Int64), ("b", DataType::Int64)]);
+        if let LogicalPlan::Scan { row_ids, .. } = &mut victims {
+            *row_ids = true;
+        }
+        let sum = Expr::Arith {
+            op: cstore_exec::ArithOp::Add,
+            lhs: Box::new(Expr::col(0)),
+            rhs: Box::new(Expr::col(1)),
+        };
+        let plan = LogicalPlan::Filter {
+            input: Box::new(victims),
+            predicate: Expr::and(
+                Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(5i64)),
+                Expr::cmp(CmpOp::Gt, sum, Expr::lit(7i64)),
+            ),
+        };
+        let out = optimize(plan, &MemoryCatalog::new()).unwrap();
+        let names: Vec<String> = out
+            .output_fields()
+            .unwrap()
+            .into_iter()
+            .map(|f| f.name)
+            .collect();
+        assert_eq!(names, ["a", "b", crate::logical::ROW_ID_COLUMN]);
+        let LogicalPlan::Filter { input, .. } = &out else {
+            panic!("residual filter expected, got {out:?}");
+        };
+        let LogicalPlan::Scan {
+            projection,
+            pushed,
+            row_ids,
+            ..
+        } = input.as_ref()
+        else {
+            panic!("scan expected");
+        };
+        assert!(*row_ids);
+        assert_eq!(projection.as_deref(), Some(&[0usize, 1][..]));
+        assert_eq!(pushed.len(), 1, "a = 5 is evaluated on the segment");
     }
 
     #[test]

@@ -72,11 +72,11 @@ pub fn bind_select(stmt: &SelectStmt, catalog: &dyn CatalogProvider) -> Result<L
         .from
         .as_ref()
         .ok_or_else(|| Error::Unsupported("SELECT without FROM".into()))?;
-    let (mut plan, mut scope) = bind_table(from, catalog)?;
+    let (mut plan, mut scope) = bind_table(from, catalog, false)?;
 
     // Joins.
     for join in &stmt.joins {
-        let (right_plan, right_scope) = bind_table(&join.table, catalog)?;
+        let (right_plan, right_scope) = bind_table(&join.table, catalog, false)?;
         let _left_arity = scope.cols.len();
         // Split ON into equi-key pairs and residual conjuncts.
         let mut conjuncts = Vec::new();
@@ -219,8 +219,35 @@ pub fn bind_union(branches: &[SelectStmt], catalog: &dyn CatalogProvider) -> Res
     bind_order_limit(last, plan, &names)
 }
 
-/// Bind FROM/JOIN table reference.
-fn bind_table(t: &TableRef, catalog: &dyn CatalogProvider) -> Result<(LogicalPlan, Scope)> {
+/// Bind the victim search of `UPDATE`/`DELETE … WHERE selection`: the plan
+/// `SELECT *, <row id> FROM table WHERE selection` would bind to, could SQL
+/// name the row id. The optimizer then treats the `WHERE` like any query's
+/// (conjuncts pushed into the scan, the rest a `Filter` above it).
+pub fn bind_victim_scan(
+    table: &str,
+    selection: Option<&AstExpr>,
+    catalog: &dyn CatalogProvider,
+) -> Result<LogicalPlan> {
+    let from = TableRef {
+        name: table.to_owned(),
+        alias: None,
+    };
+    let (scan, scope) = bind_table(&from, catalog, true)?;
+    Ok(match selection {
+        Some(w) => LogicalPlan::Filter {
+            input: Box::new(scan),
+            predicate: bind_expr(w, &scope)?,
+        },
+        None => scan,
+    })
+}
+
+/// Bind FROM/JOIN table reference (`row_ids`: see [`LogicalPlan::Scan`]).
+fn bind_table(
+    t: &TableRef,
+    catalog: &dyn CatalogProvider,
+    row_ids: bool,
+) -> Result<(LogicalPlan, Scope)> {
     let table = catalog
         .table(&t.name)
         .ok_or_else(|| Error::Catalog(format!("unknown table '{}'", t.name)))?;
@@ -232,6 +259,7 @@ fn bind_table(t: &TableRef, catalog: &dyn CatalogProvider) -> Result<(LogicalPla
             schema,
             projection: None,
             pushed: vec![],
+            row_ids,
         },
         scope,
     ))
@@ -840,7 +868,8 @@ fn bind_order_limit(
     })
 }
 
-/// Bind an expression against one table's schema (UPDATE/DELETE WHERE).
+/// Bind an expression against one table's schema (`SET col = expr`, and
+/// the `WHERE` of heap-table DML).
 pub fn bind_expr_on_schema(e: &AstExpr, schema: &Schema, table: &str) -> Result<Expr> {
     let scope = Scope::from_schema(table, schema);
     bind_expr(e, &scope)

@@ -9,6 +9,8 @@ pub mod parser;
 pub mod shape;
 
 pub use ast::{Statement, TableOrganization};
-pub use bind::{bind_expr_on_schema, bind_select, bind_union, coerce, literal_value};
+pub use bind::{
+    bind_expr_on_schema, bind_select, bind_union, bind_victim_scan, coerce, literal_value,
+};
 pub use parser::parse;
 pub use shape::{query_shape, QueryShape};

@@ -58,6 +58,22 @@ impl RleVec {
         self.values[run]
     }
 
+    /// The codes at ascending `positions`, found with one forward pass
+    /// over the runs rather than a binary search per position.
+    pub fn gather(&self, positions: &[u32]) -> Vec<u64> {
+        debug_assert!(positions.windows(2).all(|w| w[0] <= w[1]));
+        let mut run = 0;
+        positions
+            .iter()
+            .map(|&p| {
+                while self.run_ends[run] <= p {
+                    run += 1;
+                }
+                self.values[run]
+            })
+            .collect()
+    }
+
     /// Iterate `(code, start, end)` triples over all runs.
     pub fn iter_runs(&self) -> impl Iterator<Item = (u64, usize, usize)> + '_ {
         self.values

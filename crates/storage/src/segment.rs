@@ -67,6 +67,14 @@ impl Payload {
         }
     }
 
+    /// The codes at ascending `positions`.
+    pub fn gather(&self, positions: &[u32]) -> Vec<u64> {
+        match self {
+            Payload::Rle(r) => r.gather(positions),
+            Payload::Packed(p) => positions.iter().map(|&i| p.get(i as usize)).collect(),
+        }
+    }
+
     /// Set, in `out`, every row whose code lies in `[lo, hi]`.
     fn mark_code_range(&self, lo: u64, hi: u64, out: &mut Bitmap) {
         match self {
@@ -271,14 +279,32 @@ impl ColumnSegment {
         let _span = cstore_common::trace::global().span("segment.decode");
         let mut codes = Vec::new();
         self.payload.decode_into(&mut codes);
-        match (&self.dict, &self.venc) {
-            (None, Some(venc)) => {
-                let values: Vec<i64> = codes.iter().map(|&c| venc.decode(c)).collect();
-                SegmentValues::I64 {
-                    values,
-                    nulls: self.nulls.clone(),
+        self.values_of(&codes, self.nulls.clone())
+    }
+
+    /// Decode only the rows at `positions` (ascending), as a dense
+    /// sequence: what a scan fetches when a few rows of the group
+    /// qualify, instead of decoding the segment and gathering from it.
+    pub fn decode_positions(&self, positions: &[u32]) -> SegmentValues {
+        let nulls = self.nulls.as_ref().map(|n| {
+            let mut out = Bitmap::zeros(positions.len());
+            for (i, &p) in positions.iter().enumerate() {
+                if n.get(p as usize) {
+                    out.set(i);
                 }
             }
+            out
+        });
+        self.values_of(&self.payload.gather(positions), nulls)
+    }
+
+    /// The values `codes` stand for, under `nulls`.
+    fn values_of(&self, codes: &[u64], nulls: Option<Bitmap>) -> SegmentValues {
+        match (&self.dict, &self.venc) {
+            (None, Some(venc)) => SegmentValues::I64 {
+                values: codes.iter().map(|&c| venc.decode(c)).collect(),
+                nulls,
+            },
             // A segment of nothing but NULLs has an empty dictionary, and
             // its codes (all 0) name no entry: it decodes to placeholder
             // values under the NULL bitmap.
@@ -290,7 +316,7 @@ impl ColumnSegment {
                     } else {
                         dict.clone()
                     },
-                    nulls: self.nulls.clone(),
+                    nulls,
                 },
                 Dictionary::I64(entries) => SegmentValues::I64 {
                     values: if entries.is_empty() {
@@ -298,7 +324,7 @@ impl ColumnSegment {
                     } else {
                         codes.iter().map(|&c| dict.i64_at(c as u32)).collect()
                     },
-                    nulls: self.nulls.clone(),
+                    nulls,
                 },
                 Dictionary::F64(entries) => SegmentValues::F64 {
                     values: if entries.is_empty() {
@@ -306,7 +332,7 @@ impl ColumnSegment {
                     } else {
                         codes.iter().map(|&c| dict.f64_at(c as u32)).collect()
                     },
-                    nulls: self.nulls.clone(),
+                    nulls,
                 },
             },
             // lint: allow(panic) — `assemble` guarantees exactly one
@@ -472,6 +498,41 @@ mod tests {
             assert_eq!(len, 7, "{ty}");
             assert_eq!(nulls.map(|n| n.count_ones()), Some(7), "{ty}");
         }
+    }
+
+    #[test]
+    fn decode_positions_matches_a_gather_of_the_full_decode() {
+        use crate::encode::PayloadKind;
+        let runs: Vec<Option<i64>> = (0..600)
+            .map(|i| (i % 293 != 0).then_some(i / 150))
+            .collect();
+        let noise: Vec<Option<i64>> = (0..600)
+            .map(|i| (i % 13 != 0).then_some((i * 7919) % 1000))
+            .collect();
+        let names: Vec<String> = (0..600).map(|i| format!("s{}", (i * 31) % 17)).collect();
+        let strs: Vec<Option<&str>> = names
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i % 11 != 0).then_some(s.as_str()))
+            .collect();
+        let segments = [int_segment(&runs), int_segment(&noise), str_segment(&strs)];
+        assert_eq!(segments[0].meta.payload, PayloadKind::Rle);
+        assert_eq!(segments[1].meta.payload, PayloadKind::BitPacked);
+        let picks: [&[u32]; 4] = [&[], &[0], &[3, 149, 150, 151, 293, 598, 599], &[599]];
+        for seg in &segments {
+            let (ty, full) = (seg.data_type(), seg.decode());
+            for positions in picks {
+                let got = seg.decode_positions(positions);
+                assert_eq!(got.len(), positions.len());
+                for (i, &p) in positions.iter().enumerate() {
+                    assert_eq!(got.value_at(i, ty), full.value_at(p as usize, ty), "{p}");
+                }
+            }
+        }
+        // An all-NULL segment has no dictionary entry to point at.
+        let nulls = encode_column(DataType::Utf8, &vec![Value::Null; 5], None).unwrap();
+        let got = nulls.decode_positions(&[1, 4]);
+        assert_eq!(got.value_at(1, DataType::Utf8), Value::Null);
     }
 
     #[test]

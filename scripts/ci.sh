@@ -312,4 +312,20 @@ case "$star" in
     ;;
 esac
 
+# Read-beside-write gate: `hybrid_read_write` — an open-loop writer whose
+# DELETEs find their victims through the batch scan (segment elimination,
+# row-id pseudo-column) while a reader checks bounded counts and the
+# tuple mover runs, then a restart against a shadow count.
+echo "==> perfbench hybrid_read_write smoke"
+hybrid=$(cd perfbench && cargo run --release --offline --quiet --bin bench -- \
+    run --workload hybrid_read_write --quick --seconds 3 | tail -n 1)
+case "$hybrid" in
+*'"failed": 0,'*) ;;
+*)
+    echo "hybrid_read_write reported failed operations:"
+    echo "$hybrid"
+    exit 1
+    ;;
+esac
+
 echo "==> ci: all gates passed"

@@ -264,6 +264,59 @@ fn failed_statements_are_counted_with_the_work_they_did() {
     );
 }
 
+/// The guard on how UPDATE/DELETE find their victims, in counts rather
+/// than time: a single-key statement over a table clustered on the key
+/// reads one row group of sixteen (segment elimination), evaluates the
+/// predicate there on encoded data so that one row comes out of the scan,
+/// and reads none at all for a key that lives in a delta store.
+#[test]
+fn single_key_dml_reads_one_row_group_of_sixteen() {
+    let db = db();
+    db.execute("CREATE TABLE events (k BIGINT NOT NULL, v BIGINT NOT NULL)")
+        .unwrap();
+    let rows: Vec<Row> = (0..16_000)
+        .map(|i| Row::new(vec![Value::Int64(i), Value::Int64(i % 7)]))
+        .collect();
+    db.bulk_load("events", &rows).unwrap();
+    for k in 100_000..100_030 {
+        db.execute(&format!("INSERT INTO events VALUES ({k}, 0)"))
+            .unwrap();
+    }
+    let stats = db.table_stats("events").unwrap();
+    assert_eq!((stats.n_compressed_groups, stats.delta_rows), (16, 30));
+    // (groups eliminated, groups scanned, rows scanned, of them delta rows)
+    let run = |sql: &str| {
+        assert_eq!(db.execute(sql).unwrap().affected(), 1, "{sql}");
+        db.with_query_log(|log| {
+            let c = log.entries().last().expect("logged").1.exec.counters;
+            (
+                c.groups_eliminated,
+                c.groups_scanned,
+                c.rows_scanned,
+                c.rows_scanned_delta,
+            )
+        })
+    };
+    let one_group = (15, 1, 1, 0);
+    assert_eq!(run("DELETE FROM events WHERE k = 5432"), one_group);
+    assert_eq!(run("UPDATE events SET v = 9 WHERE k = 15999"), one_group);
+    let delta_only = (16, 0, 1, 1);
+    assert_eq!(run("DELETE FROM events WHERE k = 100007"), delta_only);
+    // The updated row moved to the delta store. Its old group still
+    // spans the key, so it is not eliminated — its predicate runs, on
+    // codes, and finds only the deleted version: no group is read.
+    assert_eq!(
+        run("UPDATE events SET v = 8 WHERE k = 15999"),
+        (15, 0, 1, 1)
+    );
+    // A residual predicate narrows nothing: every visible row is scanned,
+    // and no more — one group's rows plus the delta rows is the bound a
+    // key predicate stays under.
+    let (eliminated, scanned, rows, delta) = run("DELETE FROM events WHERE k + v = 0");
+    assert_eq!((eliminated, scanned), (0, 16));
+    assert_eq!((rows, delta), (15_998 + 30, 30));
+}
+
 /// One script, every kind of ending; then every surface that keeps
 /// statements must tell the same story about each statement shape.
 #[test]
@@ -412,4 +465,49 @@ fn query_log_query_store_registry_and_explain_analyze_agree() {
     );
     let stored_bytes: u64 = store.values().flatten().map(|r| int(&r[4])).sum();
     assert_eq!(stored_bytes, spilled() - spilled_before);
+
+    // UPDATE and DELETE find their victims with a planned scan, and the
+    // statement's record is that scan's: `(rows it returned, groups
+    // eliminated, groups scanned, rows scanned, of them delta rows)`.
+    let victim_scan = |sql: &str| {
+        db.with_query_log(|log| {
+            let (_, p) = log
+                .entries()
+                .find(|(_, p)| p.text == sql)
+                .unwrap_or_else(|| panic!("{sql} is not in the log"));
+            let c = p.exec.counters;
+            (
+                p.exec.rows_returned,
+                c.groups_eliminated,
+                c.groups_scanned,
+                c.rows_scanned,
+                c.rows_scanned_delta,
+            )
+        })
+    };
+    // Row 9001 lives in the delta store: all four row groups eliminated.
+    let in_delta = (1, 4, 0, 1, 1);
+    assert_eq!(
+        victim_scan("UPDATE sales SET amount = 2.0 WHERE id = 9001"),
+        in_delta
+    );
+    assert_eq!(victim_scan("DELETE FROM sales WHERE id = 9001"), in_delta);
+    // Row 7 is in the first of the four groups — found there inside the
+    // transaction, and by the peer whose DELETE then lost the conflict.
+    let in_group = (1, 3, 1, 1, 0);
+    assert_eq!(
+        victim_scan("UPDATE sales SET amount = 3.0 WHERE id = 7"),
+        in_group
+    );
+    assert_eq!(victim_scan("DELETE FROM sales WHERE id = 7"), in_group);
+    let update = hash("UPDATE sales SET amount = 2.0 WHERE id = 9001");
+    let roots = by_hash(&db, "SELECT query_hash, rows, plan_root FROM sys.query_log");
+    assert_eq!(
+        roots[&update],
+        vec![vec![Value::Int64(1), Value::str("Scan sales")]; 2],
+        "both UPDATEs log the row they hit and their scan"
+    );
+    let returned = by_hash(&db, "SELECT query_hash, rows_returned FROM sys.query_store");
+    let returned: u64 = returned[&update].iter().map(|r| int(&r[0])).sum();
+    assert_eq!(returned, 2, "the Query Store counts the rows UPDATE hit");
 }

@@ -6,6 +6,8 @@
 //! * the archival codec roundtrips arbitrary bytes;
 //! * batch-mode and row-mode execution agree on arbitrary filters;
 //! * the delete/insert lifecycle preserves the multiset of live rows;
+//! * UPDATE and DELETE hit exactly the rows a SELECT with the same `WHERE`
+//!   counts and a nested loop over `SELECT *` picks, in every storage state;
 //! * hash joins (all six types) and hash aggregation agree with row mode
 //!   and a nested-loop reference over every key shape, in memory and
 //!   spilled.
@@ -356,6 +358,249 @@ fn autocommit_and_transactional_dml_agree_live_and_after_replay() {
             outcomes[0], outcomes[2],
             "seed {seed}: autocommit vs one txn"
         );
+    }
+}
+
+/// One `WHERE` clause with the reference predicate a nested loop over
+/// `SELECT *` applies. Rows are `(id, k, a, b, s, c)`.
+struct VictimPred {
+    sql: String,
+    matches: Box<dyn Fn(&Row) -> bool>,
+}
+
+/// The predicate kinds a victim search meets: pushed into the scan (key
+/// equality, a range on the clustered column, `IN`, string equality,
+/// `IS NULL`, `<>` that yields NULL on NULL), left as a residual filter
+/// (arithmetic, a column-to-column comparison that yields NULL), and none
+/// — ordered so that rows with NULLs outlive the DELETEs before them.
+fn victim_preds(rng: &mut Rng, max_id: i64) -> Vec<VictimPred> {
+    let int = |r: &Row, c: usize| r.get(c).as_i64();
+    let pred = |sql: String, matches: Box<dyn Fn(&Row) -> bool>| VictimPred { sql, matches };
+    let id = rng.range_i64(0, max_id);
+    let lo = rng.range_i64(0, 150);
+    let hi = lo + rng.range_i64(1, 40);
+    let ids: Vec<i64> = (0..5).map(|_| rng.range_i64(0, max_id + 10)).collect();
+    let in_list = ids
+        .iter()
+        .map(i64::to_string)
+        .collect::<Vec<_>>()
+        .join(", ");
+    let word = ["ant", "bee", "cat", "dog"][rng.range_usize(0, 4)];
+    let sum = rng.range_i64(-10, 25);
+    let ne = rng.range_i64(-20, 20);
+    vec![
+        pred(
+            format!("WHERE id = {id}"),
+            Box::new(move |r| int(r, 0) == Some(id)),
+        ),
+        pred(
+            format!("WHERE k >= {lo} AND k < {hi}"),
+            Box::new(move |r| int(r, 1).is_some_and(|k| (lo..hi).contains(&k))),
+        ),
+        pred(
+            format!("WHERE id IN ({in_list})"),
+            Box::new(move |r| int(r, 0).is_some_and(|v| ids.contains(&v))),
+        ),
+        pred(
+            format!("WHERE s = '{word}'"),
+            Box::new(move |r| r.get(4).as_str() == Some(word)),
+        ),
+        pred(
+            format!("WHERE a + b > {sum}"),
+            Box::new(move |r| matches!((int(r, 2), int(r, 3)), (Some(a), Some(b)) if a + b > sum)),
+        ),
+        pred(
+            "WHERE a < b".into(),
+            Box::new(move |r| matches!((int(r, 2), int(r, 3)), (Some(a), Some(b)) if a < b)),
+        ),
+        pred("WHERE a IS NULL".into(), Box::new(|r| r.get(2).is_null())),
+        pred(
+            format!("WHERE a <> {ne}"),
+            Box::new(move |r| int(r, 2).is_some_and(|a| a != ne)),
+        ),
+        pred(String::new(), Box::new(|_| true)),
+    ]
+}
+
+/// UPDATE and DELETE find their victims with the query scan; this holds
+/// that search against two references at every step of a seeded script:
+/// `SELECT COUNT(*)` with the same `WHERE` (batch and row mode) and a
+/// nested loop over `SELECT *`. The table is in every storage state at
+/// once — compressed groups clustered on `k`, archived ones, closed and
+/// open delta stores, rows in the delete bitmap — and, by seed, the
+/// statements run inside `BEGIN` after own uncommitted inserts and
+/// deletes, under a parallel scan, and across a tuple-mover pass that
+/// renumbers row ids under the open transaction.
+#[test]
+fn update_and_delete_hit_what_select_counts_and_a_nested_loop_picks() {
+    use cstore::exec::ExecContext;
+    use cstore::storage::SortMode;
+    use cstore::{Database, ExecMode};
+
+    fn keyed(rng: &mut Rng, id: i64) -> Row {
+        let nullable = |rng: &mut Rng, lo: i64, hi: i64| {
+            if rng.gen_bool(0.2) {
+                Value::Null
+            } else {
+                Value::Int64(rng.range_i64(lo, hi))
+            }
+        };
+        Row::new(vec![
+            Value::Int64(id),
+            Value::Int64(id / 2 + rng.range_i64(0, 6)),
+            nullable(rng, -20, 20),
+            nullable(rng, -20, 20),
+            if rng.gen_bool(0.2) {
+                Value::Null
+            } else {
+                Value::str(["ant", "bee", "cat", "dog"][rng.range_usize(0, 4)])
+            },
+            Value::Int64(rng.range_i64(0, 100)),
+        ])
+    }
+    fn values_sql(rows: &[Row]) -> String {
+        let tuple = |r: &Row| {
+            let cells: Vec<String> = r
+                .values()
+                .iter()
+                .map(|v| match v {
+                    Value::Null => "NULL".into(),
+                    Value::Str(s) => format!("'{s}'"),
+                    other => other.to_string(),
+                })
+                .collect();
+            format!("({})", cells.join(", "))
+        };
+        rows.iter().map(tuple).collect::<Vec<_>>().join(", ")
+    }
+
+    for seed in 0..16u64 {
+        let mut rng = Rng::new(seed ^ 0x51C7);
+        let in_txn = seed % 2 == 1;
+        let db = Database::new()
+            .with_table_config(TableConfig {
+                delta_capacity: 16,
+                bulk_load_threshold: 32,
+                max_rowgroup_rows: 48,
+                sort_mode: SortMode::Columns(vec![1]),
+            })
+            .with_exec_mode(ExecMode::Batch)
+            .with_exec_context(ExecContext::default().with_parallelism(1 + (seed % 3) as usize));
+        let row_db = db.clone().with_exec_mode(ExecMode::Row);
+        let run = |sql: &str| {
+            db.execute(sql)
+                .unwrap_or_else(|e| panic!("seed {seed}: {sql}: {e}"))
+        };
+        run(
+            "CREATE TABLE t (id BIGINT NOT NULL, k BIGINT NOT NULL, a BIGINT, b BIGINT, \
+             s VARCHAR, c BIGINT NOT NULL)",
+        );
+        // Three groups that are then archived, three hot ones, then
+        // trickle rows: two closed delta stores and an open one.
+        let mut next_id = 0i64;
+        let mut fresh = |rng: &mut Rng, n: usize| -> Vec<Row> {
+            let rows = (next_id..next_id + n as i64)
+                .map(|id| keyed(rng, id))
+                .collect();
+            next_id += n as i64;
+            rows
+        };
+        db.bulk_load("t", &fresh(&mut rng, 140)).unwrap();
+        db.archive_table("t").unwrap();
+        db.bulk_load("t", &fresh(&mut rng, 130)).unwrap();
+        for _ in 0..5 {
+            run(&format!(
+                "INSERT INTO t VALUES {}",
+                values_sql(&fresh(&mut rng, 8))
+            ));
+        }
+        // Rows already in the delete bitmap (and gone from a delta store).
+        run("DELETE FROM t WHERE id IN (3, 50, 51, 139, 141, 200, 272, 290)");
+        if seed % 4 >= 2 {
+            db.tuple_move("t").unwrap();
+        }
+        let states = run("SELECT state FROM sys.row_groups WHERE table_name = 't'");
+        let has = |state: &str| states.rows().iter().any(|r| r.get(0) == &Value::str(state));
+        assert!(has("COMPRESSED") && has("OPEN"), "{:?}", states.rows());
+        if in_txn {
+            // Own uncommitted writes: inserts (one of them deleted again)
+            // and deletes of a compressed and of a delta row.
+            run("BEGIN");
+            run(&format!(
+                "INSERT INTO t VALUES {}",
+                values_sql(&fresh(&mut rng, 6))
+            ));
+            run(&format!("DELETE FROM t WHERE id = {}", next_id - 2));
+            run("DELETE FROM t WHERE id = 7");
+            run("DELETE FROM t WHERE id = 295");
+        }
+
+        let contents = || sorted(run("SELECT * FROM t").rows().to_vec());
+        let count = |on: &Database, filter: &str| -> i64 {
+            let r = on
+                .execute(&format!("SELECT COUNT(*) FROM t {filter}"))
+                .unwrap();
+            r.rows()[0].get(0).as_i64().unwrap()
+        };
+        let sum_c = || {
+            run("SELECT SUM(c) FROM t").rows()[0]
+                .get(0)
+                .as_i64()
+                .unwrap_or(0)
+        };
+        let ids =
+            |rows: &[Row]| -> Vec<i64> { rows.iter().filter_map(|r| r.get(0).as_i64()).collect() };
+
+        let preds = victim_preds(&mut rng, next_id);
+        for (step, p) in preds.iter().enumerate() {
+            let what = format!("seed {seed}: {}", p.sql);
+            if step == preds.len() / 2 {
+                // Renumbers the row ids of every delta row it compresses,
+                // under this session's open transaction if there is one.
+                db.tuple_move("t").unwrap();
+            }
+            // UPDATE … SET c = c + bump.
+            let before = contents();
+            let victims: Vec<&Row> = before.iter().filter(|r| (p.matches)(r)).collect();
+            let n = victims.len();
+            assert_eq!(count(&db, &p.sql), n as i64, "batch count, {what}");
+            assert_eq!(count(&row_db, &p.sql), n as i64, "row-mode count, {what}");
+            let (bump, sum_before) = (rng.range_i64(1, 9), sum_c());
+            let updated = run(&format!("UPDATE t SET c = c + {bump} {}", p.sql));
+            assert_eq!(updated.affected(), n, "UPDATE, {what}");
+            assert_eq!(sum_c() - sum_before, bump * n as i64, "SUM(c), {what}");
+            let expected: Vec<Row> = before
+                .iter()
+                .map(|r| {
+                    let mut v = r.values().to_vec();
+                    if (p.matches)(r) {
+                        v[5] = Value::Int64(v[5].as_i64().unwrap() + bump);
+                    }
+                    Row::new(v)
+                })
+                .collect();
+            assert_eq!(contents(), sorted(expected), "rows after UPDATE, {what}");
+            // DELETE with the same WHERE (none of the predicates reads `c`).
+            let before = contents();
+            let (victims, survivors): (Vec<Row>, Vec<Row>) =
+                before.into_iter().partition(|r| (p.matches)(r));
+            assert_eq!(victims.len(), n, "{what}");
+            let deleted = run(&format!("DELETE FROM t {}", p.sql));
+            assert_eq!(deleted.affected(), n, "DELETE, {what}");
+            assert_eq!(count(&db, &p.sql), 0, "still matching after DELETE, {what}");
+            assert_eq!(count(&row_db, &p.sql), 0, "row mode after DELETE, {what}");
+            assert_eq!(ids(&contents()), ids(&survivors), "deleted keys, {what}");
+            assert_eq!(contents(), survivors, "rows after DELETE, {what}");
+        }
+        assert_eq!(
+            count(&db, ""),
+            0,
+            "seed {seed}: the last DELETE had no WHERE"
+        );
+        if in_txn {
+            run("COMMIT");
+            assert_eq!(count(&db, ""), 0, "seed {seed}: after COMMIT");
+        }
     }
 }
 

@@ -486,6 +486,67 @@ fn set_query_timeout_aborts_slow_queries_cleanly() {
     assert!(db.execute("SET query_timeout_ms = -5").is_err());
 }
 
+/// The victim search of UPDATE/DELETE is a planned scan, so the statement
+/// deadline interrupts it like any query's: the autocommit statement
+/// leaves nothing behind, an explicit transaction is poisoned.
+#[test]
+fn query_timeout_interrupts_a_long_victim_scan() {
+    let db = small_db();
+    db.execute("CREATE TABLE big (id BIGINT NOT NULL, val BIGINT NOT NULL, tag VARCHAR)")
+        .unwrap();
+    // 160 row groups: as many operator boundaries for the deadline to
+    // fire at, and far more than a millisecond of decoding.
+    let rows: Vec<Row> = (0..40_960)
+        .map(|i| {
+            Row::new(vec![
+                Value::Int64(i),
+                Value::Int64(i % 977),
+                Value::str(format!("tag{}", i % 31)),
+            ])
+        })
+        .collect();
+    db.bulk_load("big", &rows).unwrap();
+    let state = |db: &Database| {
+        let r = db.execute("SELECT COUNT(*), SUM(val) FROM big").unwrap();
+        r.rows()[0].values().to_vec()
+    };
+    let before = state(&db);
+    let update = "UPDATE big SET val = val + 1 WHERE val + id >= 0";
+
+    db.execute("SET query_timeout_ms = 1").unwrap();
+    let err = db.execute(update).unwrap_err();
+    assert_eq!(err.code(), "TIMEOUT", "{err}");
+    db.execute("SET query_timeout_ms = 0").unwrap();
+    assert_eq!(state(&db), before, "the timed-out UPDATE left rows behind");
+    let hash = format!("{:016x}", cstore::sql::query_shape(update).hash);
+    let stored = db
+        .execute(&format!(
+            "SELECT executions, failures, timeouts FROM sys.query_store \
+             WHERE query_hash = '{hash}'"
+        ))
+        .unwrap();
+    assert_eq!(stored.rows()[0].values(), vec![Value::Int64(1); 3]);
+
+    // Inside BEGIN the timeout is a failed statement: abort-only.
+    db.execute("BEGIN").unwrap();
+    db.execute("INSERT INTO big VALUES (-1, 5, NULL)").unwrap();
+    db.execute("SET query_timeout_ms = 1").unwrap();
+    let err = db.execute("DELETE FROM big").unwrap_err();
+    assert_eq!(err.code(), "TIMEOUT", "{err}");
+    let msg = db.execute("SELECT COUNT(*) FROM big").unwrap_err();
+    assert!(msg.to_string().contains("ROLLBACK required"), "{msg}");
+    db.execute("ROLLBACK").unwrap();
+    db.execute("SET query_timeout_ms = 0").unwrap();
+    assert_eq!(state(&db), before, "the poisoned transaction leaked writes");
+
+    // With the deadline cleared the same UPDATE goes through.
+    assert_eq!(db.execute(update).unwrap().affected(), rows.len());
+    assert_eq!(
+        state(&db)[1],
+        Value::Int64(before[1].as_i64().unwrap() + rows.len() as i64)
+    );
+}
+
 /// A bulk-loaded row group whose nullable columns hold nothing but NULLs
 /// has empty dictionaries; decoding it used to index entry 0 and panic.
 #[test]

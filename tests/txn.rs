@@ -179,10 +179,15 @@ fn query_timeout_inside_transaction_poisons_it() {
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO acct VALUES (600, 9)").unwrap();
     db.execute("SET query_timeout_ms = 1").unwrap();
-    // ~10^4 probe rows through the join give the deadline check plenty of
-    // operator boundaries to fire at.
+    // ~10^6 rows through the second join: far more than a millisecond of
+    // work (one join's ~10^4 rows took 1.1 ms in a debug build, and the
+    // test failed whenever that dipped under the deadline), with an
+    // operator boundary for the deadline check at every batch.
     let err = db
-        .execute("SELECT COUNT(*) FROM acct a JOIN acct b ON a.bal = b.bal")
+        .execute(
+            "SELECT COUNT(*) FROM acct a JOIN acct b ON a.bal = b.bal \
+             JOIN acct c ON b.bal = c.bal",
+        )
         .unwrap_err();
     assert!(err.to_string().contains("query timeout exceeded"), "{err}");
 
