@@ -1,9 +1,8 @@
-//! Microbenchmarks: the write path — B+tree operations, trickle inserts,
-//! deletes, and the tuple mover's compression step.
+//! Microbenchmarks: the write path — trickle inserts, deletes, and the
+//! tuple mover's compression step.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use cstore_common::{DataType, Field, Row, RowId, RowGroupId, Schema, Value};
-use cstore_delta::btree::BTree;
+use cstore_common::{DataType, Field, Row, RowId, Schema, Value};
 use cstore_delta::{ColumnStoreTable, TableConfig};
 
 fn schema() -> Schema {
@@ -20,48 +19,6 @@ fn row(i: i64) -> Row {
         Value::str(["a", "b", "c", "d"][(i % 4) as usize]),
         Value::Float64(i as f64),
     ])
-}
-
-fn bench_btree(c: &mut Criterion) {
-    const N: usize = 100_000;
-    let mut g = c.benchmark_group("btree");
-    g.throughput(Throughput::Elements(N as u64));
-    g.sample_size(10);
-    g.bench_function("insert_sequential", |b| {
-        b.iter(|| {
-            let mut t = BTree::new();
-            for i in 0..N as u64 {
-                t.insert(i, i);
-            }
-            std::hint::black_box(t.len())
-        });
-    });
-    g.bench_function("insert_scrambled", |b| {
-        b.iter(|| {
-            let mut t = BTree::new();
-            for i in 0..N as u64 {
-                t.insert(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i);
-            }
-            std::hint::black_box(t.len())
-        });
-    });
-    let mut full = BTree::new();
-    for i in 0..N as u64 {
-        full.insert(i, i);
-    }
-    g.bench_function("point_lookup", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for i in (0..N as u64).step_by(7) {
-                acc ^= *full.get(i).unwrap();
-            }
-            std::hint::black_box(acc)
-        });
-    });
-    g.bench_function("full_scan", |b| {
-        b.iter(|| std::hint::black_box(full.iter().count()));
-    });
-    g.finish();
 }
 
 fn bench_table_writes(c: &mut Criterion) {
@@ -126,9 +83,8 @@ fn bench_table_writes(c: &mut Criterion) {
             std::hint::black_box(t.tuple_move_once().unwrap())
         });
     });
-    let _ = RowGroupId(0);
     g.finish();
 }
 
-criterion_group!(benches, bench_btree, bench_table_writes);
+criterion_group!(benches, bench_table_writes);
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! E5 — Trickle inserts: delta stores absorb single-row inserts; the
 //! tuple mover compresses them in the background.
 //!
-//! Paper shape: trickle inserts sustain high rates (B-tree inserts, no
+//! Paper shape: trickle inserts sustain high rates (delta-store appends, no
 //! compression on the insert path); delta rows accumulate until the store
 //! closes; the tuple mover converts closed stores to compressed row groups
 //! so the delta tail stays bounded; queries stay correct throughout and

@@ -123,7 +123,7 @@ impl Value {
         }
     }
 
-    /// SQL total ordering used by sort operators and the B+tree:
+    /// SQL total ordering used by sort operators and comparisons:
     /// NULL sorts first; floats use IEEE total ordering so the comparison is
     /// a true total order.
     pub fn cmp_sql(&self, other: &Value) -> Ordering {

@@ -3,7 +3,7 @@
 //! Deleting a row that lives in a *compressed* row group cannot touch the
 //! encoded segments; instead the row is marked in a per-table delete
 //! bitmap and scans filter marked rows out. (Rows in delta stores are
-//! deleted from the B+tree directly and never appear here.)
+//! removed from their store directly and never appear here.)
 
 use cstore_common::{Bitmap, FxHashMap, RowGroupId, RowId};
 

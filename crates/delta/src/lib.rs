@@ -4,15 +4,15 @@
 //! serves as the base storage of a table and supports trickle inserts,
 //! deletes, updates and bulk loads. The moving parts:
 //!
-//! * [`btree::BTree`] — the B+tree substrate backing delta stores;
-//! * [`DeltaStore`] — uncompressed row groups absorbing trickle inserts;
+//! * [`DeltaStore`] — uncompressed row groups absorbing trickle inserts,
+//!   a vector of rows indexed by tuple id (the paper's B-tree delta store
+//!   only ever appends, see `DESIGN.md` §2);
 //! * [`DeleteBitmap`] — delete marks for rows in compressed row groups;
 //! * [`ColumnStoreTable`] — the table: compressed row groups (from
 //!   `cstore-storage`) + delta stores + delete bitmap + id allocation;
 //! * [`TupleMover`] — background compression of closed delta stores;
 //! * [`TableSnapshot`] — consistent scan views.
 
-pub mod btree;
 pub mod delete_bitmap;
 pub mod delta_store;
 pub mod snapshot;

@@ -10,10 +10,17 @@
 //!   stores and compress directly (the trailing partial chunk below the
 //!   threshold goes to the delta store);
 //! * **deletes** of compressed rows mark the [`DeleteBitmap`]; deletes of
-//!   delta rows remove them from the B+tree;
+//!   delta rows remove them from their delta store;
 //! * **updates** are delete + insert;
 //! * scans read a [`TableSnapshot`] that merges compressed row groups
 //!   (minus deleted rows) with delta-store rows.
+//!
+//! Trickle inserts and deletes change rows in one place,
+//! `Inner::apply_ops`, whether they come from a transaction commit
+//! ([`ColumnStoreTable::apply_write_set`]), the direct `insert` /
+//! `insert_batch` / `delete` calls, a load, or WAL replay
+//! ([`ColumnStoreTable::wal_apply`]). Bulk loads, the tuple mover and
+//! group rebuilds install whole row groups and have their own paths.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,7 +35,7 @@ use cstore_storage::{BlobQuarantine, ColumnStore, QuarantinedKind, SortMode};
 use crate::delete_bitmap::DeleteBitmap;
 use crate::delta_store::DeltaStore;
 use crate::snapshot::TableSnapshot;
-use crate::wal::{ReplayDelete, TxnApplyOp, Wal, WalHandle, WalRecord};
+use crate::wal::{TxnApplyOp, Wal, WalHandle, WalRecord};
 
 /// Tuning knobs of a columnstore table.
 #[derive(Clone, Debug)]
@@ -184,42 +191,84 @@ impl Inner {
         Ok(lsn)
     }
 
-    /// Apply `ops` in order, recording what was done in `applied`.
-    /// Deletes are value-verified ([`Inner::delete_matching`]);
-    /// `Ok(false)` means one found no live row — stop, the caller undoes.
-    fn apply_ops(&mut self, ops: &[TxnApplyOp], applied: &mut AppliedWrites) -> Result<bool> {
+    /// Apply `ops` in order, recording what was done in `applied`: the
+    /// one place trickle inserts and deletes change rows. Deletes are
+    /// value-verified ([`Inner::delete_matching`]). Returns how many
+    /// deletes found no live row; the commit path undoes on any, replay
+    /// counts them. Takes the ops by value: their rows move into the
+    /// store.
+    fn apply_ops(
+        &mut self,
+        ops: impl IntoIterator<Item = TxnApplyOp>,
+        applied: &mut AppliedWrites,
+    ) -> Result<u64> {
+        let mut misses = 0;
         for op in ops {
             match op {
                 TxnApplyOp::Insert(rows) => {
                     for row in rows {
-                        applied.inserted.push(self.insert_row(row.clone())?);
+                        applied.inserted.push(self.insert_row(row)?);
                     }
                 }
-                TxnApplyOp::Delete(rid, row) => match self.delete_matching(*rid, row)? {
+                TxnApplyOp::Delete(rid, row) => match self.delete_matching(rid, &row)? {
                     Some((_, row)) => applied.deleted.push(row),
-                    None => return Ok(false),
+                    None => misses += 1,
                 },
             }
         }
-        Ok(true)
+        Ok(misses)
     }
 
-    /// Reverse what `applied` records of `ops` (a prefix, if the apply
-    /// stopped early): put deleted rows back, then remove inserted ones
-    /// — by value, since the tuple mover may have renumbered them since.
-    /// A miss can only mean a concurrent writer raced the same row in
-    /// the failure window; it is counted, not fatal.
-    fn undo_ops(&mut self, ops: &[TxnApplyOp], applied: &AppliedWrites) {
+    /// Apply `ops` and log `frames` in one critical section, all or
+    /// nothing: a delete that finds no live row (`Ok(None)`) or a
+    /// refused append undoes the applied part.
+    fn apply_logged(
+        &mut self,
+        ops: Vec<TxnApplyOp>,
+        frames: &[WalRecord],
+    ) -> Result<Option<AppliedWrites>> {
+        let mut applied = AppliedWrites::default();
+        let outcome = self.apply_ops(ops, &mut applied).and_then(|misses| {
+            if misses == 0 {
+                applied.lsn = self.wal_log_all(frames)?;
+            }
+            Ok(misses == 0)
+        });
+        if !matches!(outcome, Ok(true)) {
+            self.undo_ops(None, &applied);
+        }
+        self.sync_delta_charge();
+        Ok(outcome?.then_some(applied))
+    }
+
+    /// Reverse what `applied` records (a prefix, if the apply stopped
+    /// early): put deleted rows back, then remove inserted ones. Inside
+    /// the critical section that applied them their ids are exact
+    /// (`ops` is `None`); after it the tuple mover may have renumbered
+    /// them, so they go by the values in `ops`. A miss can only mean a
+    /// concurrent writer raced the same row in the failure window; it is
+    /// counted, not fatal.
+    fn undo_ops(&mut self, ops: Option<&[TxnApplyOp]>, applied: &AppliedWrites) {
         let mut misses = 0;
         for row in &applied.deleted {
             misses += u64::from(self.insert_row(row.clone()).is_err());
         }
-        let inserted_rows = ops.iter().flat_map(|op| match op {
-            TxnApplyOp::Insert(rows) => rows.as_slice(),
-            TxnApplyOp::Delete(..) => &[],
-        });
-        for (rid, row) in applied.inserted.iter().zip(inserted_rows) {
-            misses += u64::from(!matches!(self.delete_matching(*rid, row), Ok(Some(_))));
+        match ops {
+            Some(ops) => {
+                let inserted_rows = ops.iter().flat_map(|op| match op {
+                    TxnApplyOp::Insert(rows) => rows.as_slice(),
+                    TxnApplyOp::Delete(..) => &[],
+                });
+                for (rid, row) in applied.inserted.iter().zip(inserted_rows) {
+                    misses += u64::from(!matches!(self.delete_matching(*rid, row), Ok(Some(_))));
+                }
+            }
+            None => {
+                for rid in &applied.inserted {
+                    let removed = self.delta_mut(rid.group).and_then(|d| d.delete(*rid));
+                    misses += u64::from(removed.is_none());
+                }
+            }
         }
         if misses > 0 {
             cstore_common::metrics::global().add("cstore_txn_undo_errors_total", misses);
@@ -236,28 +285,15 @@ impl Inner {
     /// if no matching row is live.
     fn delete_matching(&mut self, rid: RowId, expected: &Row) -> Result<Option<(RowId, Row)>> {
         // Exact row-id match first, values verified.
-        if let Some(d) = self.open.as_mut().filter(|d| d.id() == rid.group) {
-            if d.get(rid).is_some_and(|r| r == expected) {
-                if let Some(row) = d.delete(rid) {
-                    return Ok(Some((rid, row)));
-                }
+        if let Some(d) = self.delta_mut(rid.group) {
+            if d.get(rid) == Some(expected) {
+                return Ok(d.delete(rid).map(|row| (rid, row)));
             }
-        }
-        if let Some(d) = self.closed.iter_mut().find(|d| d.id() == rid.group) {
-            if d.get(rid).is_some_and(|r| r == expected) {
-                if let Some(row) = d.delete(rid) {
-                    return Ok(Some((rid, row)));
-                }
-            }
-        }
-        if let Some(g) = self.cs.group_by_id(rid.group) {
-            if (rid.tuple as usize) < g.n_rows()
-                && !self.deleted.is_deleted(rid)
-                && Row::new(g.row_values(rid.tuple as usize)?) == *expected
-                && self.deleted.delete(rid)
-            {
-                return Ok(Some((rid, expected.clone())));
-            }
+        } else if self.cs.group_by_id(rid.group).is_some()
+            && self.row_at(rid)?.as_ref() == Some(expected)
+            && self.deleted.delete(rid)
+        {
+            return Ok(Some((rid, expected.clone())));
         }
         // By value: delta stores first (replayed inserts land there).
         for d in self.closed.iter_mut().chain(self.open.as_mut()) {
@@ -281,6 +317,36 @@ impl Inner {
             }
         }
         Ok(None)
+    }
+
+    /// The delta store (open or closed) with id `group`, if any.
+    fn delta_mut(&mut self, group: RowGroupId) -> Option<&mut DeltaStore> {
+        self.open
+            .iter_mut()
+            .chain(&mut self.closed)
+            .find(|d| d.id() == group)
+    }
+
+    /// The live row at `rid`: `None` when it was deleted or its tuple id
+    /// was never issued, an error when `rid` names no row group.
+    fn row_at(&self, rid: RowId) -> Result<Option<Row>> {
+        if let Some(d) = self
+            .open
+            .iter()
+            .chain(&self.closed)
+            .find(|d| d.id() == rid.group)
+        {
+            return Ok(d.get(rid).cloned());
+        }
+        let g = self
+            .cs
+            .group_by_id(rid.group)
+            .ok_or_else(|| Error::Storage(format!("no row group {}", rid.group)))?;
+        let tuple = rid.tuple as usize;
+        if tuple >= g.n_rows() || self.deleted.is_deleted(rid) {
+            return Ok(None);
+        }
+        Ok(Some(Row::new(g.row_values(tuple)?)))
     }
 
     /// Trickle-insert into the open delta store, rotating a full one.
@@ -442,31 +508,13 @@ impl ColumnStoreTable {
     /// attached the insert is durable when this returns.
     pub fn insert(&self, row: Row) -> Result<RowId> {
         self.backpressure_admit()?;
-        let (rid, pending) = self.insert_logged(row)?;
-        wal_commit(pending)?;
-        Ok(rid)
-    }
-
-    /// Apply + log an insert without committing: the building block for
-    /// `insert` and for bulk loads, which commit once per batch.
-    fn insert_logged(&self, row: Row) -> Result<(RowId, Option<(Arc<Wal>, u64)>)> {
-        self.schema.check_row(&row)?;
-        let mut inner = self.inner.write();
-        let inner = &mut *inner;
-        // Log before applying: a refused append fails the statement with
-        // nothing applied, instead of leaving a visible-but-unlogged row
-        // behind until restart. The apply below cannot refuse a
-        // schema-checked row, so the logged and applied states agree.
-        let pending = match inner.wal.as_ref().map(|h| h.table.clone()) {
-            Some(table) => inner.wal_log(&WalRecord::Insert {
-                table,
-                row: row.clone(),
-            })?,
-            None => None,
-        };
-        let rid = inner.insert_row(row)?;
-        inner.sync_delta_charge();
-        Ok((rid, pending))
+        match self
+            .autocommit(vec![TxnApplyOp::Insert(vec![row])])?
+            .as_deref()
+        {
+            Some(&[rid]) => Ok(rid),
+            _ => Err(Error::Execution("trickle insert placed no row".into())),
+        }
     }
 
     /// Insert every row of one statement under a single commit
@@ -479,43 +527,61 @@ impl ColumnStoreTable {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
-        for row in rows {
-            self.schema.check_row(row)?;
-        }
         self.backpressure_admit()?;
-        let (rids, pending) = {
+        let ops: Vec<TxnApplyOp> = rows
+            .chunks(WAL_BATCH_ROWS)
+            .map(|chunk| TxnApplyOp::Insert(chunk.to_vec()))
+            .collect();
+        Ok(self.autocommit(ops)?.unwrap_or_default())
+    }
+
+    /// One write outside any transaction, through the commit path: apply
+    /// `ops` and log each op's own frame in one critical section, commit,
+    /// and undo if the commit fails — what a SQL autocommit statement
+    /// does. Returns the inserted rows' ids, or `None` when a delete
+    /// found no live row (and nothing was applied).
+    fn autocommit(&self, ops: Vec<TxnApplyOp>) -> Result<Option<Vec<RowId>>> {
+        self.check_rows(&ops)?;
+        let (applied, wal, frames) = {
             let mut inner = self.inner.write();
-            let inner = &mut *inner;
-            // Log the whole statement before applying any row: a refused
-            // append fails the statement with nothing applied, instead of
-            // leaving visible-but-unlogged rows behind until restart. The
-            // applies below cannot refuse a schema-checked row, so the
-            // logged and applied states agree.
-            let mut pending = None;
-            if let Some(table) = inner.wal.as_ref().map(|h| h.table.clone()) {
-                for chunk in rows.chunks(WAL_BATCH_ROWS) {
-                    let record = match chunk {
-                        [row] => WalRecord::Insert {
-                            table: table.clone(),
-                            row: row.clone(),
-                        },
-                        _ => WalRecord::InsertBatch {
-                            table: table.clone(),
-                            rows: chunk.to_vec(),
-                        },
-                    };
-                    pending = inner.wal_log(&record)?;
+            let (frames, wal) = match &inner.wal {
+                Some(h) => (
+                    ops.iter().map(|op| op.record(&h.table)).collect(),
+                    Some(Arc::clone(&h.wal)),
+                ),
+                None => (Vec::new(), None),
+            };
+            (inner.apply_logged(ops, &frames)?, wal, frames)
+        };
+        let Some(applied) = applied else {
+            return Ok(None);
+        };
+        if let (Some(wal), Some(lsn)) = (wal, applied.lsn) {
+            if let Err(e) = wal.commit(lsn) {
+                // Replay will not see a commit that failed; neither may
+                // readers. The frames carry the ops' rows to undo by.
+                let ops: Vec<TxnApplyOp> = frames
+                    .into_iter()
+                    .filter_map(TxnApplyOp::from_record)
+                    .map(|(_, op)| op)
+                    .collect();
+                self.undo_write_set(&ops, &applied);
+                return Err(e);
+            }
+        }
+        Ok(Some(applied.inserted))
+    }
+
+    /// Schema-check every row `ops` would insert.
+    fn check_rows(&self, ops: &[TxnApplyOp]) -> Result<()> {
+        for op in ops {
+            if let TxnApplyOp::Insert(rows) = op {
+                for row in rows {
+                    self.schema.check_row(row)?;
                 }
             }
-            let mut rids = Vec::with_capacity(rows.len());
-            for row in rows {
-                rids.push(inner.insert_row(row.clone())?);
-            }
-            inner.sync_delta_charge();
-            (rids, pending)
-        };
-        wal_commit(pending)?;
-        Ok(rids)
+        }
+        Ok(())
     }
 
     /// Bulk-insert rows. Batches at/above the threshold compress directly;
@@ -615,65 +681,24 @@ impl ColumnStoreTable {
     }
 
     /// Delete the row at `rid`. Returns `true` if a live row was deleted,
-    /// `false` if the row was already deleted or never existed. With a
-    /// WAL attached a successful delete is durable when this returns;
-    /// the record carries the row's values because row ids are not
-    /// stable across crash replay.
+    /// `false` if the row was already deleted or never existed, and an
+    /// error if `rid` names no row group. With a WAL attached a
+    /// successful delete is durable when this returns; the record carries
+    /// the row's values because row ids are not stable across crash
+    /// replay.
     pub fn delete(&self, rid: RowId) -> Result<bool> {
-        let mut pending = None;
-        let deleted = {
-            let mut inner = self.inner.write();
-            let inner = &mut *inner;
-            let victim: Option<Row> = {
-                // Delta stores first (open, then closed).
-                if let Some(d) = inner.open.as_mut().filter(|d| d.id() == rid.group) {
-                    d.delete(rid)
-                } else if let Some(d) = inner.closed.iter_mut().find(|d| d.id() == rid.group) {
-                    d.delete(rid)
-                } else if let Some(g) = inner.cs.group_by_id(rid.group) {
-                    // Compressed groups: mark the delete bitmap.
-                    if (rid.tuple as usize) < g.n_rows() {
-                        let values = g.row_values(rid.tuple as usize)?;
-                        inner.deleted.delete(rid).then(|| Row::new(values))
-                    } else {
-                        None
-                    }
-                } else {
-                    return Err(Error::Storage(format!("no row group {}", rid.group)));
-                }
-            };
-            let deleted = match victim {
-                Some(row) => {
-                    if let Some(table) = inner.wal.as_ref().map(|h| h.table.clone()) {
-                        pending = inner.wal_log(&WalRecord::Delete { table, rid, row })?;
-                    }
-                    true
-                }
-                None => false,
-            };
-            inner.sync_delta_charge();
-            deleted
+        let Some(row) = self.get_row(rid)? else {
+            return Ok(false);
         };
-        wal_commit(pending)?;
-        Ok(deleted)
+        Ok(self
+            .autocommit(vec![TxnApplyOp::Delete(rid, row)])?
+            .is_some())
     }
 
-    /// Fetch the row at `rid` if it is live.
+    /// Fetch the row at `rid` if it is live; an error if `rid` names no
+    /// row group.
     pub fn get_row(&self, rid: RowId) -> Result<Option<Row>> {
-        let inner = self.inner.read();
-        if let Some(d) = inner.open.as_ref().filter(|d| d.id() == rid.group) {
-            return Ok(d.get(rid).cloned());
-        }
-        if let Some(d) = inner.closed.iter().find(|d| d.id() == rid.group) {
-            return Ok(d.get(rid).cloned());
-        }
-        if let Some(g) = inner.cs.group_by_id(rid.group) {
-            if (rid.tuple as usize) < g.n_rows() && !inner.deleted.is_deleted(rid) {
-                return Ok(Some(Row::new(g.row_values(rid.tuple as usize)?)));
-            }
-            return Ok(None);
-        }
-        Ok(None)
+        self.inner.read().row_at(rid)
     }
 
     /// Compress every closed delta store into a columnar row group (one
@@ -1015,124 +1040,45 @@ impl ColumnStoreTable {
         Ok((rows, deletes, last_lsn))
     }
 
-    /// Re-insert parsed delta rows and re-mark deletes. Delete marks for
-    /// row groups absent from the column store (quarantined in a degraded
-    /// open) are skipped, keeping row accounting consistent.
+    /// Re-insert parsed delta rows and re-mark deletes, under one lock.
+    /// Delete marks for row groups absent from the column store
+    /// (quarantined in a degraded open) are skipped, keeping row
+    /// accounting consistent.
     fn apply_delta(&self, rows: Vec<Row>, deletes: Vec<RowId>) -> Result<()> {
-        for row in rows {
-            self.insert(row)?;
-        }
+        let ops = [TxnApplyOp::Insert(rows)];
+        self.check_rows(&ops)?;
         let mut inner = self.inner.write();
         let inner = &mut *inner;
+        inner.apply_ops(ops, &mut AppliedWrites::default())?;
         for rid in deletes {
             if inner.cs.group_by_id(rid.group).is_some() {
                 inner.deleted.delete(rid);
             }
         }
+        inner.sync_delta_charge();
         Ok(())
     }
 
-    // -------------------------------------------------- WAL replay
-
-    /// Replay one logged insert: applied iff `lsn` is past the table's
-    /// persisted watermark. Never logs (replay runs before a WAL handle
-    /// is attached) and advances the watermark so replay is idempotent.
-    pub fn wal_apply_insert(&self, lsn: u64, row: Row) -> Result<bool> {
-        self.schema.check_row(&row)?;
+    /// Replay the ops of one WAL record — a plain Insert, InsertBatch or
+    /// Delete frame, or this table's share of a committed transaction —
+    /// iff `lsn` is past the table's watermark. A transaction is stamped
+    /// with its TxnCommit record's LSN, its atomicity point: its ops keep
+    /// earlier LSNs in the log, but interleaved autocommit frames may
+    /// have advanced the watermark past them. Deletes are value-verified,
+    /// since row ids are reassigned on load and replay. Never logs
+    /// (replay runs before a WAL handle is attached) and advances the
+    /// watermark, so replay is idempotent. Returns `None` below the
+    /// watermark, else how many deletes found no live row.
+    pub fn wal_apply(&self, lsn: u64, ops: Vec<TxnApplyOp>) -> Result<Option<u64>> {
+        self.check_rows(&ops)?;
         let mut inner = self.inner.write();
         if lsn <= inner.last_lsn {
-            return Ok(false);
+            return Ok(None);
         }
-        let inner = &mut *inner;
-        inner.insert_row(row)?;
+        let misses = inner.apply_ops(ops, &mut AppliedWrites::default())?;
         inner.last_lsn = lsn;
         inner.sync_delta_charge();
-        Ok(true)
-    }
-
-    /// Replay one logged insert batch: every row applied iff `lsn` is
-    /// past the table's watermark. The batch rode a single frame, so it
-    /// shares one LSN and replays all-or-nothing — idempotent under the
-    /// same watermark rule as single-row inserts.
-    pub fn wal_apply_insert_batch(&self, lsn: u64, rows: Vec<Row>) -> Result<bool> {
-        for row in &rows {
-            self.schema.check_row(row)?;
-        }
-        let mut inner = self.inner.write();
-        if lsn <= inner.last_lsn {
-            return Ok(false);
-        }
-        let inner = &mut *inner;
-        for row in rows {
-            inner.insert_row(row)?;
-        }
-        inner.last_lsn = lsn;
-        inner.sync_delta_charge();
-        Ok(true)
-    }
-
-    /// Replay one logged delete. The logged `rid` resolves only when the
-    /// row group survived into the loaded state; otherwise (the row was
-    /// re-inserted as a delta row, or its mover-built group died with the
-    /// crash) fall back to deleting one row matching the logged values —
-    /// row identity across replay is by value, not by id.
-    pub fn wal_apply_delete(&self, lsn: u64, rid: RowId, row: &Row) -> Result<ReplayDelete> {
-        let mut inner = self.inner.write();
-        let inner = &mut *inner;
-        if lsn <= inner.last_lsn {
-            return Ok(ReplayDelete::BelowWatermark);
-        }
-        inner.last_lsn = lsn;
-        // Ids are reassigned on load and replay, so the logged rid can
-        // alias an unrelated row — resolve it value-verified.
-        let applied = inner.delete_matching(rid, row)?;
-        inner.sync_delta_charge();
-        match applied {
-            Some(_) => Ok(ReplayDelete::Applied),
-            None => Ok(ReplayDelete::NotFound),
-        }
-    }
-
-    /// Replay one committed transaction's operations against this table,
-    /// in the transaction's log order, gated **once** on the TxnCommit
-    /// record's LSN. The individual ops keep their original (earlier)
-    /// LSNs in the log, but interleaved auto-commit frames may have
-    /// advanced the watermark past them — the commit record is the
-    /// atomicity point, so `commit_lsn` is what decides replay-vs-skip
-    /// for the whole transaction. Returns `false` when the save already
-    /// covered the commit (watermark ≥ `commit_lsn`).
-    pub fn wal_apply_txn_ops(&self, commit_lsn: u64, ops: &[TxnApplyOp]) -> Result<bool> {
-        for op in ops {
-            if let TxnApplyOp::Insert(rows) = op {
-                for row in rows {
-                    self.schema.check_row(row)?;
-                }
-            }
-        }
-        let mut inner = self.inner.write();
-        if commit_lsn <= inner.last_lsn {
-            return Ok(false);
-        }
-        let inner = &mut *inner;
-        for op in ops {
-            match op {
-                TxnApplyOp::Insert(rows) => {
-                    for row in rows {
-                        inner.insert_row(row.clone())?;
-                    }
-                }
-                TxnApplyOp::Delete(rid, row) => {
-                    // Value-verified, same as wal_apply_delete: ids are
-                    // reassigned across replay. A miss means the row was
-                    // already gone — counted at the call site, not fatal.
-                    // lint: allow(discard) — miss is legitimate here
-                    let _ = inner.delete_matching(*rid, row)?;
-                }
-            }
-        }
-        inner.last_lsn = commit_lsn;
-        inner.sync_delta_charge();
-        Ok(true)
+        Ok(Some(misses))
     }
 
     // ---------------------------------------- transaction commit apply
@@ -1152,33 +1098,16 @@ impl ColumnStoreTable {
     /// explicit transaction logged its `TxnOp` frames at statement time
     /// and passes none. A refused append undoes the apply. The caller
     /// commits [`AppliedWrites::lsn`] with no table lock held, and calls
-    /// [`undo_write_set`](Self::undo_write_set) if that fails.
+    /// [`undo_write_set`](Self::undo_write_set) if that fails, with the
+    /// same `ops` (the apply works on a copy, made before the lock).
     pub fn apply_write_set(
         &self,
         ops: &[TxnApplyOp],
         frames: &[WalRecord],
     ) -> Result<Option<AppliedWrites>> {
-        for op in ops {
-            if let TxnApplyOp::Insert(rows) = op {
-                for row in rows {
-                    self.schema.check_row(row)?;
-                }
-            }
-        }
-        let mut inner = self.inner.write();
-        let inner = &mut *inner;
-        let mut applied = AppliedWrites::default();
-        let outcome = inner.apply_ops(ops, &mut applied).and_then(|complete| {
-            if complete {
-                applied.lsn = inner.wal_log_all(frames)?;
-            }
-            Ok(complete)
-        });
-        if !matches!(outcome, Ok(true)) {
-            inner.undo_ops(ops, &applied);
-        }
-        inner.sync_delta_charge();
-        Ok(outcome?.then_some(applied))
+        self.check_rows(ops)?;
+        let ops = ops.to_vec();
+        self.inner.write().apply_logged(ops, frames)
     }
 
     /// Take back an applied write set whose commit record could not be
@@ -1186,7 +1115,7 @@ impl ColumnStoreTable {
     /// image must agree. Unlogged, for the same reason.
     pub fn undo_write_set(&self, ops: &[TxnApplyOp], applied: &AppliedWrites) {
         let mut inner = self.inner.write();
-        inner.undo_ops(ops, applied);
+        inner.undo_ops(Some(ops), applied);
         inner.sync_delta_charge();
     }
 
@@ -1444,7 +1373,39 @@ mod tests {
             "a refused append must not seal a row group"
         );
         assert_eq!(s.compressed_rows, 0);
-        assert_eq!(s.delta_rows, 1, "only the wedging insert's row remains");
+        assert_eq!(
+            s.delta_rows, 0,
+            "the wedging insert's failed commit took its row back too"
+        );
+    }
+
+    /// A direct write whose commit flush fails is undone, as a SQL
+    /// autocommit statement is: replay will not see it, so readers must
+    /// not either.
+    #[test]
+    fn failed_commit_flush_undoes_direct_writes() {
+        use cstore_common::fault::{FaultKind, FaultSpec};
+        let (t, wal, faults, _) = wal_fixture(24);
+        let kept = t.insert(row(1)).unwrap();
+        let fail_next_flush =
+            || faults.arm("wal.fsync", FaultSpec::new(FaultKind::IoError).always());
+        let recover = || {
+            faults.disarm_all();
+            wal.try_clear_failure().unwrap();
+        };
+        fail_next_flush();
+        assert!(t.insert(row(2)).is_err());
+        assert_eq!(t.total_rows(), 1, "a single-row insert is undone");
+        recover();
+        fail_next_flush();
+        let batch: Vec<Row> = (10..60).map(row).collect();
+        assert!(t.insert_batch(&batch).is_err());
+        assert_eq!(t.total_rows(), 1, "a batch is undone");
+        recover();
+        fail_next_flush();
+        assert!(t.delete(kept).is_err());
+        assert_eq!(t.total_rows(), 1, "a delete is undone");
+        assert_eq!(t.sum_i64(0).unwrap(), 1);
     }
 
     /// Review fix: insert paths log before applying, so a statement
@@ -1456,9 +1417,9 @@ mod tests {
         use cstore_common::fault::{FaultKind, FaultSpec};
         let (t, wal, faults, _) = wal_fixture(23);
         faults.arm("wal.append", FaultSpec::new(FaultKind::IoError).always());
-        // The wedging insert fails at *commit* (its frame was buffered);
-        // its row stays — that is the flush-failure case, handled by the
-        // WAL's sticky failure and read-only degradation.
+        // The wedging insert fails at *commit* (its frame was buffered)
+        // and takes its row back out — the flush-failure case, covered
+        // by `failed_commit_flush_undoes_direct_writes`.
         assert!(t.insert(row(0)).is_err());
         assert!(wal.status().failed.is_some());
         let before = t.total_rows();
@@ -1509,12 +1470,12 @@ mod tests {
     #[test]
     fn insert_batch_replay_is_idempotent() {
         let t = ColumnStoreTable::new(schema(), small_config());
-        let rows: Vec<Row> = (0..10).map(row).collect();
-        assert!(t.wal_apply_insert_batch(5, rows.clone()).unwrap());
+        let ops = || vec![TxnApplyOp::Insert((0..10).map(row).collect())];
+        assert_eq!(t.wal_apply(5, ops()).unwrap(), Some(0));
         assert_eq!(t.total_rows(), 10);
-        assert!(!t.wal_apply_insert_batch(5, rows.clone()).unwrap());
+        assert_eq!(t.wal_apply(5, ops()).unwrap(), None);
         assert_eq!(t.total_rows(), 10, "below-watermark replay is skipped");
-        assert!(t.wal_apply_insert_batch(6, rows).unwrap());
+        assert_eq!(t.wal_apply(6, ops()).unwrap(), Some(0));
         assert_eq!(t.total_rows(), 20);
         assert_eq!(t.wal_last_lsn(), 6);
     }

@@ -872,111 +872,84 @@ impl Wal {
         pending_txns: &mut BTreeMap<u64, Vec<WalRecord>>,
         report: &mut WalReplayReport,
     ) -> Result<()> {
-        match record {
+        let records = match record {
             WalRecord::TxnBegin { txn } => {
                 pending_txns.insert(txn, Vec::new());
+                return Ok(());
             }
             WalRecord::TxnOp { txn, op } => {
                 // A TxnOp whose TxnBegin fell into a retired/quarantined
                 // segment still buffers: only the commit record decides.
                 pending_txns.entry(txn).or_default().push(*op);
+                return Ok(());
             }
             WalRecord::TxnAbort { txn } => {
                 if pending_txns.remove(&txn).is_some() {
                     report.txns_discarded += 1;
                 }
+                return Ok(());
             }
             WalRecord::TxnCommit { txn } => {
-                let Some(ops) = pending_txns.remove(&txn) else {
-                    // Commit record without buffered ops: the whole
-                    // transaction (begin + ops + commit) was already
-                    // covered by a save and its segments retired, or it
-                    // was read-only. Nothing to do.
-                    report.txns_committed += 1;
-                    return Ok(());
-                };
-                // Group by table, preserving per-table log order (the
-                // order that makes delete-after-own-insert resolve), and
-                // stamp every op with the *commit* LSN: interleaved
-                // auto-commit frames may have advanced a table's
-                // watermark past the ops' original LSNs, but the commit
-                // record is the transaction's atomicity point.
-                let mut by_table: Vec<(String, Vec<TxnApplyOp>)> = Vec::new();
-                for op in ops {
-                    let (name, apply) = match op {
-                        WalRecord::Insert { table, row } => (table, TxnApplyOp::Insert(vec![row])),
-                        WalRecord::InsertBatch { table, rows } => (table, TxnApplyOp::Insert(rows)),
-                        WalRecord::Delete { table, rid, row } => {
-                            (table, TxnApplyOp::Delete(rid, row))
-                        }
-                        // decode_body guards the inner tag; unreachable.
-                        _ => continue,
-                    };
-                    let key = name.to_ascii_lowercase();
-                    match by_table.iter_mut().find(|(n, _)| *n == key) {
-                        Some((_, v)) => v.push(apply),
-                        None => by_table.push((key, vec![apply])),
-                    }
-                }
-                for (name, ops) in by_table {
-                    let Some(t) = tables.get(&name) else {
-                        report.records_unknown_table += 1;
-                        continue;
-                    };
-                    if t.wal_apply_txn_ops(lsn, &ops)? {
-                        report.records_applied += 1;
-                    } else {
-                        report.records_below_watermark += 1;
-                    }
-                }
                 report.txns_committed += 1;
-            }
-            WalRecord::Insert { table, row } => {
-                let Some(t) = tables.get(&table.to_ascii_lowercase()) else {
-                    report.records_unknown_table += 1;
-                    return Ok(());
-                };
-                if t.wal_apply_insert(lsn, row)? {
-                    report.records_applied += 1;
-                } else {
-                    report.records_below_watermark += 1;
-                }
-            }
-            WalRecord::InsertBatch { table, rows } => {
-                let Some(t) = tables.get(&table.to_ascii_lowercase()) else {
-                    report.records_unknown_table += 1;
-                    return Ok(());
-                };
-                if t.wal_apply_insert_batch(lsn, rows)? {
-                    report.records_applied += 1;
-                } else {
-                    report.records_below_watermark += 1;
-                }
-            }
-            WalRecord::Delete { table, rid, row } => {
-                let Some(t) = tables.get(&table.to_ascii_lowercase()) else {
-                    report.records_unknown_table += 1;
-                    return Ok(());
-                };
-                match t.wal_apply_delete(lsn, rid, &row)? {
-                    ReplayDelete::Applied => report.records_applied += 1,
-                    ReplayDelete::BelowWatermark => report.records_below_watermark += 1,
-                    ReplayDelete::NotFound => {
-                        report.records_applied += 1;
-                        report.deletes_unmatched += 1;
-                    }
-                }
+                // No buffered ops: the whole transaction (begin + ops +
+                // commit) was already covered by a save and its segments
+                // retired, or it was read-only. Nothing to do.
+                pending_txns.remove(&txn).unwrap_or_default()
             }
             WalRecord::RowGroupSealed { .. } => {
                 // Informational: replay re-inserts the rows as delta rows;
                 // the mover will re-seal them in due course.
+                return Ok(());
             }
-            WalRecord::Checkpoint {
-                generation,
-                boundaries: _,
-            } => {
+            WalRecord::Checkpoint { generation, .. } => {
                 report.last_checkpoint = Some((generation, lsn));
+                return Ok(());
             }
+            dml => {
+                if let Some((table, op)) = TxnApplyOp::from_record(dml) {
+                    Self::replay(lsn, &table, vec![op], tables, report)?;
+                }
+                return Ok(());
+            }
+        };
+        // Group the transaction's ops by table, preserving per-table log
+        // order (the order that makes a delete of its own insert resolve),
+        // and stamp each group with the commit record's LSN.
+        let mut by_table: Vec<(String, Vec<TxnApplyOp>)> = Vec::new();
+        for (name, op) in records.into_iter().filter_map(TxnApplyOp::from_record) {
+            match by_table
+                .iter_mut()
+                .find(|(n, _)| n.eq_ignore_ascii_case(&name))
+            {
+                Some((_, ops)) => ops.push(op),
+                None => by_table.push((name, vec![op])),
+            }
+        }
+        for (name, ops) in by_table {
+            Self::replay(lsn, &name, ops, tables, report)?;
+        }
+        Ok(())
+    }
+
+    /// Replay one record's worth of `ops` into `table` and count the
+    /// outcome in `report`.
+    fn replay(
+        lsn: u64,
+        table: &str,
+        ops: Vec<TxnApplyOp>,
+        tables: &BTreeMap<String, &ColumnStoreTable>,
+        report: &mut WalReplayReport,
+    ) -> Result<()> {
+        let Some(t) = tables.get(&table.to_ascii_lowercase()) else {
+            report.records_unknown_table += 1;
+            return Ok(());
+        };
+        match t.wal_apply(lsn, ops)? {
+            Some(misses) => {
+                report.records_applied += 1;
+                report.deletes_unmatched += misses;
+            }
+            None => report.records_below_watermark += 1,
         }
         Ok(())
     }
@@ -1417,11 +1390,12 @@ pub struct WalHandle {
     pub table: String,
 }
 
-/// One write of a transaction against one table: what the live commit
-/// applies ([`ColumnStoreTable::apply_write_set`]) and what replay
-/// rebuilds from `TxnOp` frames and applies at the `TxnCommit`. Within
-/// a table the ops preserve the transaction's log order, so a delete
-/// targeting a row the same transaction inserted resolves.
+/// One write against one table: what a commit applies
+/// ([`ColumnStoreTable::apply_write_set`]) and what replay rebuilds from
+/// plain frames and from `TxnOp` frames at their `TxnCommit`
+/// ([`ColumnStoreTable::wal_apply`]). Within a table the ops preserve the
+/// transaction's log order, so a delete targeting a row the same
+/// transaction inserted resolves.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TxnApplyOp {
     /// Insert these rows (one Insert or InsertBatch frame's worth).
@@ -1454,17 +1428,18 @@ impl TxnApplyOp {
             },
         }
     }
-}
 
-/// Outcome of replaying one Delete record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayDelete {
-    /// The row was found (by id or by value) and deleted.
-    Applied,
-    /// The record predates the table's persisted watermark.
-    BelowWatermark,
-    /// Past the watermark but no matching row — counted, not fatal.
-    NotFound,
+    /// The inverse of [`TxnApplyOp::record`]: the table an Insert,
+    /// InsertBatch or Delete record names and the op it carries; `None`
+    /// for every other record.
+    pub(crate) fn from_record(record: WalRecord) -> Option<(String, TxnApplyOp)> {
+        match record {
+            WalRecord::Insert { table, row } => Some((table, TxnApplyOp::Insert(vec![row]))),
+            WalRecord::InsertBatch { table, rows } => Some((table, TxnApplyOp::Insert(rows))),
+            WalRecord::Delete { table, rid, row } => Some((table, TxnApplyOp::Delete(rid, row))),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1937,6 +1912,208 @@ mod tests {
             rows: 1,
         })
         .unwrap();
+    }
+
+    /// Every record kind replayed into a table holding keys 0..4, once
+    /// past the table's watermark and once with a save covering the whole
+    /// log: the rows left and every counter of the report.
+    #[test]
+    fn replay_applies_each_record_kind_once_and_reports_it() {
+        use crate::table::TableConfig;
+        use cstore_common::{DataType, Field, RowGroupId, Schema, Value};
+
+        struct Case {
+            name: &'static str,
+            records: Vec<WalRecord>,
+            applied: u64,
+            unmatched: u64,
+            unknown: u64,
+            committed: u64,
+            discarded: u64,
+            checkpoint: bool,
+            /// Keys left when the records are past the watermark.
+            keys: Vec<i64>,
+        }
+        let row = |k: i64| Row::new(vec![Value::Int64(k)]);
+        let ins = |k: i64| WalRecord::Insert {
+            table: "t".into(),
+            row: row(k),
+        };
+        // Base rows sit at tuples 0..4 of the first delta store; ids of
+        // replayed rows are fresh, so a bracket's delete of its own
+        // insert names a stale id and resolves by value.
+        let del = |group: u32, tuple: u32, k: i64| WalRecord::Delete {
+            table: "T".into(),
+            rid: RowId::new(RowGroupId(group), tuple),
+            row: row(k),
+        };
+        let op = |txn: u64, op: WalRecord| WalRecord::TxnOp {
+            txn,
+            op: Box::new(op),
+        };
+        let base = || vec![0, 1, 2, 3];
+        let with = |extra: &[i64], without: &[i64]| {
+            let mut keys: Vec<i64> = base()
+                .into_iter()
+                .filter(|k| !without.contains(k))
+                .collect();
+            keys.extend_from_slice(extra);
+            keys.sort_unstable();
+            keys
+        };
+        let none = || Case {
+            name: "",
+            records: vec![],
+            applied: 0,
+            unmatched: 0,
+            unknown: 0,
+            committed: 0,
+            discarded: 0,
+            checkpoint: false,
+            keys: base(),
+        };
+        let cases = vec![
+            Case {
+                name: "insert",
+                records: vec![ins(10)],
+                applied: 1,
+                keys: with(&[10], &[]),
+                ..none()
+            },
+            Case {
+                name: "insert batch",
+                records: vec![WalRecord::InsertBatch {
+                    table: "t".into(),
+                    rows: vec![row(10), row(11), row(12)],
+                }],
+                applied: 1,
+                keys: with(&[10, 11, 12], &[]),
+                ..none()
+            },
+            Case {
+                name: "delete found",
+                records: vec![del(0, 2, 2)],
+                applied: 1,
+                keys: with(&[], &[2]),
+                ..none()
+            },
+            Case {
+                name: "delete not found",
+                records: vec![del(0, 2, 99)],
+                applied: 1,
+                unmatched: 1,
+                ..none()
+            },
+            Case {
+                name: "committed bracket",
+                records: vec![
+                    WalRecord::TxnBegin { txn: 7 },
+                    op(7, ins(20)),
+                    op(7, ins(21)),
+                    op(7, del(55, 0, 20)),
+                    op(7, del(0, 1, 99)),
+                    WalRecord::TxnCommit { txn: 7 },
+                ],
+                applied: 1,
+                unmatched: 1,
+                committed: 1,
+                keys: with(&[21], &[]),
+                ..none()
+            },
+            Case {
+                name: "aborted bracket",
+                records: vec![
+                    WalRecord::TxnBegin { txn: 8 },
+                    op(8, ins(30)),
+                    op(8, del(0, 0, 0)),
+                    WalRecord::TxnAbort { txn: 8 },
+                ],
+                discarded: 1,
+                ..none()
+            },
+            Case {
+                name: "unfinished bracket",
+                records: vec![WalRecord::TxnBegin { txn: 9 }, op(9, ins(40))],
+                discarded: 1,
+                ..none()
+            },
+            Case {
+                name: "unknown table",
+                records: vec![WalRecord::Insert {
+                    table: "gone".into(),
+                    row: row(50),
+                }],
+                unknown: 1,
+                ..none()
+            },
+            Case {
+                name: "row group sealed",
+                records: vec![WalRecord::RowGroupSealed {
+                    table: "t".into(),
+                    group: 0,
+                    rows: 4,
+                }],
+                ..none()
+            },
+            Case {
+                name: "checkpoint",
+                records: vec![WalRecord::Checkpoint {
+                    generation: 3,
+                    boundaries: vec![("t".into(), 0)],
+                }],
+                checkpoint: true,
+                ..none()
+            },
+        ];
+        let schema = Schema::new(vec![Field::not_null("k", DataType::Int64)]);
+        for case in &cases {
+            for covered in [false, true] {
+                let what = format!("{} (covered by a save: {covered})", case.name);
+                let t = ColumnStoreTable::new(schema.clone(), TableConfig::default());
+                t.insert_batch(&base().into_iter().map(row).collect::<Vec<_>>())
+                    .unwrap();
+                let n = case.records.len() as u64;
+                if covered {
+                    // An empty apply at the last LSN stands in for a save
+                    // that covered the whole log.
+                    t.wal_apply(n, Vec::new()).unwrap();
+                }
+                let mut store = MemLogStore::new();
+                store.create(1).unwrap();
+                for (lsn, record) in (1..).zip(&case.records) {
+                    store
+                        .append(1, &encode_frame(lsn, record).unwrap())
+                        .unwrap();
+                }
+                store.sync(1).unwrap();
+                let tables = [("t".to_string(), t.clone())];
+                let (_wal, report) =
+                    Wal::open(Box::new(store), WalOptions::default(), None, &tables).unwrap();
+                let mut keys: Vec<i64> = t
+                    .snapshot()
+                    .scan_rows()
+                    .map(|r| r.get(0).as_i64().unwrap())
+                    .collect();
+                keys.sort_unstable();
+                let (applied, below, unmatched, want_keys) = match covered {
+                    false => (case.applied, 0, case.unmatched, case.keys.clone()),
+                    true => (0, case.applied, 0, base()),
+                };
+                assert_eq!(keys, want_keys, "{what}: rows");
+                assert_eq!(report.records_scanned, n, "{what}: scanned");
+                assert_eq!(report.records_applied, applied, "{what}: applied");
+                assert_eq!(report.records_below_watermark, below, "{what}: below");
+                assert_eq!(report.records_unknown_table, case.unknown, "{what}");
+                assert_eq!(report.deletes_unmatched, unmatched, "{what}: unmatched");
+                assert_eq!(report.records_truncated, 0, "{what}");
+                assert!(report.is_clean(), "{what}");
+                let checkpoint = case.checkpoint.then_some((3, n));
+                assert_eq!(report.last_checkpoint, checkpoint, "{what}");
+                assert_eq!(report.max_lsn, n, "{what}");
+                assert_eq!(report.txns_committed, case.committed, "{what}");
+                assert_eq!(report.txns_discarded, case.discarded, "{what}");
+            }
+        }
     }
 
     #[test]

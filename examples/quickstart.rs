@@ -21,7 +21,7 @@ fn main() -> cstore::common::Result<()> {
         )",
     )?;
 
-    // Trickle inserts land in a B-tree delta store.
+    // Trickle inserts land in a delta store.
     db.execute(
         "INSERT INTO orders VALUES
             (1, 'ada',   12.50, 100, NULL),

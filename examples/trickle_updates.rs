@@ -60,7 +60,7 @@ fn main() -> cstore::common::Result<()> {
     print_stats(&db, "after 25k trickle inserts:");
 
     // Deletes: compressed rows go to the delete bitmap, delta rows leave
-    // their B-tree directly.
+    // their delta store directly.
     let n = db.execute("DELETE FROM events WHERE kind = 'buy' AND id < 1000")?;
     println!("deleted {} rows", n.affected());
     print_stats(&db, "after deletes:");

@@ -23,9 +23,11 @@ echo "==> cargo build --release"
 cargo build --workspace --release -q
 
 # Not a gate: the size of what was just built, so a PR that says
-# "net-negative" can point at two numbers in two logs.
+# "net-negative" can point at two numbers in two logs. The delta crate
+# (delta stores, mutation path, WAL) gets its own line next to the total.
 echo "==> code size (non-test, non-comment, non-blank Rust lines)"
 scripts/loc.sh
+scripts/loc.sh crates/delta/src
 
 echo "==> cargo test"
 cargo test --workspace -q
