@@ -15,12 +15,16 @@
 //! * scans read a [`TableSnapshot`] that merges compressed row groups
 //!   (minus deleted rows) with delta-store rows.
 //!
-//! Trickle inserts and deletes change rows in one place,
-//! `Inner::apply_ops`, whether they come from a transaction commit
-//! ([`ColumnStoreTable::apply_write_set`]), the direct `insert` /
-//! `insert_batch` / `delete` calls, a load, or WAL replay
-//! ([`ColumnStoreTable::wal_apply`]). Bulk loads, the tuple mover and
-//! group rebuilds install whole row groups and have their own paths.
+//! The table changes in one place, `Inner::apply_ops` (which queues
+//! row-group replacements for `Inner::apply_logged` to install once the
+//! write set's frames are logged), whether the change is a transaction
+//! commit ([`ColumnStoreTable::apply_write_set`]), a load, WAL replay
+//! ([`ColumnStoreTable::wal_apply`]), or a write set from
+//! `ColumnStoreTable::commit`: the direct `insert` / `insert_batch` /
+//! `delete` calls, a bulk load, a tuple-mover install, a group rebuild
+//! or an archive. The last four build their row groups with no table
+//! lock held; the write lock only checks that what a group replaces is
+//! still as it was read, applies, logs and installs.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,12 +34,12 @@ use cstore_common::sync::RwLock;
 
 use cstore_common::{convert, Error, FaultInjector, Result, Row, RowGroupId, RowId, Schema, Value};
 use cstore_storage::builder::RowGroupBuilder;
-use cstore_storage::{BlobQuarantine, ColumnStore, QuarantinedKind, SortMode};
+use cstore_storage::{BlobQuarantine, ColumnStore, CompressedRowGroup, QuarantinedKind, SortMode};
 
 use crate::delete_bitmap::DeleteBitmap;
 use crate::delta_store::DeltaStore;
 use crate::snapshot::TableSnapshot;
-use crate::wal::{TxnApplyOp, Wal, WalHandle, WalRecord};
+use crate::wal::{TxnApplyOp, WalHandle, WalRecord};
 
 /// Tuning knobs of a columnstore table.
 #[derive(Clone, Debug)]
@@ -126,17 +130,78 @@ pub struct MovePassReport {
     pub rows: usize,
 }
 
-/// What [`ColumnStoreTable::apply_write_set`] did: enough to undo it
-/// exactly, plus the commit obligation of the frames logged with it.
-#[derive(Debug, Default)]
+/// What a write set did ([`ColumnStoreTable::apply_write_set`], or
+/// `ColumnStoreTable::commit`): enough to undo it exactly, plus the
+/// commit obligation of the frames logged with it.
+#[derive(Default)]
 pub struct AppliedWrites {
     /// Where the inserted rows landed, in op order.
     inserted: Vec<RowId>,
     /// The rows the deletes removed.
     deleted: Vec<Row>,
+    /// Row groups a bulk load installed.
+    loaded: Vec<RowGroupId>,
+    /// Replacements, with their groups until installed.
+    replaced: Vec<(Option<CompressedRowGroup>, Old)>,
     /// LSN of the last frame logged with the apply — commit it after the
     /// call returns. `None` when nothing was logged.
     pub lsn: Option<u64>,
+}
+
+/// One change [`Inner::apply_ops`] makes. Transactions and replay carry
+/// only `Row` ops; the others install row groups built with no table
+/// lock held.
+pub(crate) enum Op<'a> {
+    /// A trickle insert or delete.
+    Row(TxnApplyOp),
+    /// Bulk-loaded rows: compressed into the group when one was built,
+    /// else inserted into the delta store. Logged as `InsertBatch`
+    /// frames, plus a `RowGroupSealed` marker for a group.
+    Load(&'a [Row], Option<CompressedRowGroup>),
+    /// Put the group (`None`: no row survived) in place of `Old`.
+    Install(Option<CompressedRowGroup>, Old),
+}
+
+/// What an [`Op::Install`] replaces, as it was read when the group was
+/// built. Under the lock a changed source makes the install a miss.
+pub(crate) enum Old {
+    /// A closed delta store with this many rows (the tuple mover).
+    Store(RowGroupId, usize),
+    /// A compressed group with this many delete marks (a rebuild, which
+    /// drops the marked rows and with them the marks).
+    Group(RowGroupId, usize),
+    /// The group an archived copy replaces. Archiving keeps tuple order,
+    /// so the group's delete marks carry over.
+    Hot(RowGroupId),
+}
+
+impl Op<'_> {
+    /// This op's WAL frames against `table`. A mover install logs an
+    /// informational `RowGroupSealed`; a rebuild or archive changes no
+    /// row and logs nothing.
+    fn frames(&self, table: &str) -> Vec<WalRecord> {
+        let (rows, group): (&[Row], _) = match self {
+            Op::Row(op) => return vec![op.record(table)],
+            Op::Load(rows, group) => (rows, group),
+            Op::Install(group, Old::Store(..)) => (&[], group),
+            Op::Install(..) => return Vec::new(),
+        };
+        let batch = |rows: &[Row]| WalRecord::InsertBatch {
+            table: table.into(),
+            rows: rows.to_vec(),
+        };
+        let sealed = |g: &CompressedRowGroup| WalRecord::RowGroupSealed {
+            table: table.into(),
+            group: g.id().0,
+            rows: g.n_rows() as u64,
+        };
+        let batches = rows.chunks(WAL_BATCH_ROWS).map(batch);
+        batches.chain(group.as_ref().map(sealed)).collect()
+    }
+}
+
+fn no_group(id: RowGroupId) -> Error {
+    Error::Storage(format!("no row group {id}"))
 }
 
 struct Inner {
@@ -172,48 +237,55 @@ impl Drop for Inner {
 }
 
 impl Inner {
-    /// Buffer a WAL record for this table (must be called with the write
-    /// guard held so LSN order matches application order). Returns the
-    /// commit obligation to resolve *after* releasing the guard.
-    fn wal_log(&mut self, record: &WalRecord) -> Result<Option<(Arc<Wal>, u64)>> {
-        let Some(h) = &self.wal else { return Ok(None) };
-        let lsn = h.wal.log(record)?;
-        self.last_lsn = lsn;
-        Ok(Some((Arc::clone(&h.wal), lsn)))
-    }
-
-    /// [`Inner::wal_log`] for a write set's frames, buffered in one WAL
-    /// critical section so they share a flush. Returns the LSN to commit.
-    fn wal_log_all(&mut self, records: &[WalRecord]) -> Result<Option<u64>> {
-        let Some(h) = &self.wal else { return Ok(None) };
-        let lsn = h.wal.log_all(records)?;
-        self.last_lsn = lsn.unwrap_or(self.last_lsn);
-        Ok(lsn)
+    /// Whether the piece a replacement was built from is still as it was
+    /// read: the closed store with its row count, the group with its
+    /// delete count, the group to archive.
+    fn expects(&self, op: &Op<'_>) -> bool {
+        let Op::Install(_, old) = op else { return true };
+        match *old {
+            Old::Store(id, len) => self.closed.iter().any(|d| d.id() == id && d.len() == len),
+            Old::Group(id, n) => {
+                self.cs.group_by_id(id).is_some() && self.deleted.deleted_in_group(id) == n
+            }
+            Old::Hot(id) => self.cs.group_by_id(id).is_some(),
+        }
     }
 
     /// Apply `ops` in order, recording what was done in `applied`: the
-    /// one place trickle inserts and deletes change rows. Deletes are
+    /// one place the table's rows and row groups change (replacements are
+    /// queued in `applied` for [`Inner::apply_logged`]). Deletes are
     /// value-verified ([`Inner::delete_matching`]). Returns how many
     /// deletes found no live row; the commit path undoes on any, replay
     /// counts them. Takes the ops by value: their rows move into the
     /// store.
-    fn apply_ops(
+    fn apply_ops<'a>(
         &mut self,
-        ops: impl IntoIterator<Item = TxnApplyOp>,
+        ops: impl IntoIterator<Item = Op<'a>>,
         applied: &mut AppliedWrites,
     ) -> Result<u64> {
         let mut misses = 0;
         for op in ops {
             match op {
-                TxnApplyOp::Insert(rows) => {
+                Op::Row(TxnApplyOp::Insert(rows)) => {
                     for row in rows {
                         applied.inserted.push(self.insert_row(row)?);
                     }
                 }
-                TxnApplyOp::Delete(rid, row) => match self.delete_matching(rid, &row)? {
+                Op::Row(TxnApplyOp::Delete(rid, row)) => match self.delete_matching(rid, &row)? {
                     Some((_, row)) => applied.deleted.push(row),
                     None => misses += 1,
                 },
+                Op::Load(rows, None) => {
+                    for row in rows {
+                        applied.inserted.push(self.insert_row(row.clone())?);
+                    }
+                }
+                Op::Load(_, Some(group)) => {
+                    applied.loaded.push(group.id());
+                    self.cs.add_rowgroup(group);
+                }
+                // Installed by `apply_logged` once the frames are logged.
+                Op::Install(group, old) => applied.replaced.push((group, old)),
             }
         }
         Ok(misses)
@@ -221,37 +293,59 @@ impl Inner {
 
     /// Apply `ops` and log `frames` in one critical section, all or
     /// nothing: a delete that finds no live row (`Ok(None)`) or a
-    /// refused append undoes the applied part.
+    /// refused append undoes the applied part. Replacements are installed
+    /// last, once the frames are logged; they cannot fail.
     fn apply_logged(
         &mut self,
-        ops: Vec<TxnApplyOp>,
+        ops: Vec<Op<'_>>,
         frames: &[WalRecord],
     ) -> Result<Option<AppliedWrites>> {
         let mut applied = AppliedWrites::default();
         let outcome = self.apply_ops(ops, &mut applied).and_then(|misses| {
-            if misses == 0 {
-                applied.lsn = self.wal_log_all(frames)?;
+            // One WAL critical section: the frames share a flush, in the
+            // order the ops were applied.
+            if let (0, Some(h)) = (misses, &self.wal) {
+                applied.lsn = h.wal.log_all(frames)?;
+                self.last_lsn = applied.lsn.unwrap_or(self.last_lsn);
             }
             Ok(misses == 0)
         });
-        if !matches!(outcome, Ok(true)) {
+        if matches!(outcome, Ok(true)) {
+            for (group, old) in &mut applied.replaced {
+                match *old {
+                    Old::Store(id, _) => self.closed.retain(|d| d.id() != id),
+                    Old::Group(id, _) => {
+                        self.cs.remove_group(id);
+                        self.deleted.clear_group(id);
+                    }
+                    Old::Hot(id) => drop(self.cs.remove_group(id)),
+                }
+                if let Some(group) = group.take() {
+                    self.cs.add_rowgroup(group);
+                }
+            }
+        } else {
             self.undo_ops(None, &applied);
         }
         self.sync_delta_charge();
         Ok(outcome?.then_some(applied))
     }
 
-    /// Reverse what `applied` records (a prefix, if the apply stopped
-    /// early): put deleted rows back, then remove inserted ones. Inside
-    /// the critical section that applied them their ids are exact
-    /// (`ops` is `None`); after it the tuple mover may have renumbered
-    /// them, so they go by the values in `ops`. A miss can only mean a
-    /// concurrent writer raced the same row in the failure window; it is
-    /// counted, not fatal.
+    /// Reverse the contents `applied` records (a prefix, if the apply
+    /// stopped early): put deleted rows back, then take out inserted rows
+    /// and bulk-loaded groups. Inside the critical section that applied
+    /// them row ids are exact (`ops` is `None`); after it the tuple mover
+    /// may have renumbered them, so they go by the values in `ops`. A
+    /// miss can only mean a concurrent writer raced the same row in the
+    /// failure window; it is counted, not fatal.
     fn undo_ops(&mut self, ops: Option<&[TxnApplyOp]>, applied: &AppliedWrites) {
         let mut misses = 0;
         for row in &applied.deleted {
             misses += u64::from(self.insert_row(row.clone()).is_err());
+        }
+        for &id in &applied.loaded {
+            misses += u64::from(self.cs.remove_group(id).is_none());
+            self.deleted.clear_group(id);
         }
         match ops {
             Some(ops) => {
@@ -259,7 +353,10 @@ impl Inner {
                     TxnApplyOp::Insert(rows) => rows.as_slice(),
                     TxnApplyOp::Delete(..) => &[],
                 });
-                for (rid, row) in applied.inserted.iter().zip(inserted_rows) {
+                // Paired from the end: a bulk load's frames carry its
+                // compressed groups' rows ahead of the rows it put in
+                // delta stores.
+                for (rid, row) in applied.inserted.iter().rev().zip(inserted_rows.rev()) {
                     misses += u64::from(!matches!(self.delete_matching(*rid, row), Ok(Some(_))));
                 }
             }
@@ -341,7 +438,7 @@ impl Inner {
         let g = self
             .cs
             .group_by_id(rid.group)
-            .ok_or_else(|| Error::Storage(format!("no row group {}", rid.group)))?;
+            .ok_or_else(|| no_group(rid.group))?;
         let tuple = rid.tuple as usize;
         if tuple >= g.n_rows() || self.deleted.is_deleted(rid) {
             return Ok(None);
@@ -383,15 +480,6 @@ impl Inner {
             gov.ledger().uncharge((self.delta_charged - cur) as u64);
         }
         self.delta_charged = cur;
-    }
-}
-
-/// Resolve a commit obligation returned by [`Inner::wal_log`]. Call with
-/// no table lock held.
-fn wal_commit(pending: Option<(Arc<Wal>, u64)>) -> Result<()> {
-    match pending {
-        Some((wal, lsn)) => wal.commit(lsn),
-        None => Ok(()),
     }
 }
 
@@ -508,8 +596,10 @@ impl ColumnStoreTable {
     /// attached the insert is durable when this returns.
     pub fn insert(&self, row: Row) -> Result<RowId> {
         self.backpressure_admit()?;
+        self.schema.check_row(&row)?;
         match self
-            .autocommit(vec![TxnApplyOp::Insert(vec![row])])?
+            .commit(vec![Op::Row(TxnApplyOp::Insert(vec![row]))])?
+            .map(|a| a.inserted)
             .as_deref()
         {
             Some(&[rid]) => Ok(rid),
@@ -532,25 +622,29 @@ impl ColumnStoreTable {
             .chunks(WAL_BATCH_ROWS)
             .map(|chunk| TxnApplyOp::Insert(chunk.to_vec()))
             .collect();
-        Ok(self.autocommit(ops)?.unwrap_or_default())
+        self.check_rows(&ops)?;
+        let applied = self.commit(ops.into_iter().map(Op::Row).collect())?;
+        Ok(applied.map(|a| a.inserted).unwrap_or_default())
     }
 
-    /// One write outside any transaction, through the commit path: apply
-    /// `ops` and log each op's own frame in one critical section, commit,
-    /// and undo if the commit fails — what a SQL autocommit statement
-    /// does. Returns the inserted rows' ids, or `None` when a delete
-    /// found no live row (and nothing was applied).
-    fn autocommit(&self, ops: Vec<TxnApplyOp>) -> Result<Option<Vec<RowId>>> {
-        self.check_rows(&ops)?;
+    /// Every change outside a transaction goes through here — trickle
+    /// writes, bulk loads, mover installs, rebuilds and archives. Under
+    /// the write lock: drop each replacement whose source changed since
+    /// it was read (a miss), then apply the rest and log their frames in
+    /// one critical section. Then commit with no lock held. If the commit
+    /// fails, replay will not see the write set, so its contents are
+    /// undone: inserts, deletes, a bulk load's groups and remainder.
+    /// Replacements stay; a delete committed against a new group in the
+    /// failure window would otherwise come back. Returns `None` when a
+    /// delete found no live row (and nothing was applied).
+    fn commit(&self, mut ops: Vec<Op<'_>>) -> Result<Option<AppliedWrites>> {
         let (applied, wal, frames) = {
             let mut inner = self.inner.write();
-            let (frames, wal) = match &inner.wal {
-                Some(h) => (
-                    ops.iter().map(|op| op.record(&h.table)).collect(),
-                    Some(Arc::clone(&h.wal)),
-                ),
-                None => (Vec::new(), None),
-            };
+            ops.retain(|op| inner.expects(op));
+            let wal = inner.wal.as_ref().map(|h| Arc::clone(&h.wal));
+            let frames: Vec<WalRecord> = (inner.wal.iter())
+                .flat_map(|h| ops.iter().flat_map(|op| op.frames(&h.table)))
+                .collect();
             (inner.apply_logged(ops, &frames)?, wal, frames)
         };
         let Some(applied) = applied else {
@@ -558,8 +652,7 @@ impl ColumnStoreTable {
         };
         if let (Some(wal), Some(lsn)) = (wal, applied.lsn) {
             if let Err(e) = wal.commit(lsn) {
-                // Replay will not see a commit that failed; neither may
-                // readers. The frames carry the ops' rows to undo by.
+                // The frames carry the rows to undo by.
                 let ops: Vec<TxnApplyOp> = frames
                     .into_iter()
                     .filter_map(TxnApplyOp::from_record)
@@ -569,7 +662,7 @@ impl ColumnStoreTable {
                 return Err(e);
             }
         }
-        Ok(Some(applied.inserted))
+        Ok(Some(applied))
     }
 
     /// Schema-check every row `ops` would insert.
@@ -584,100 +677,64 @@ impl ColumnStoreTable {
         Ok(())
     }
 
+    /// Encode a row group `id` of `n_rows` rows that `fill` pushes, with
+    /// the table's sort mode and current global dictionaries. Runs with
+    /// no table lock held.
+    fn build_group(
+        &self,
+        id: RowGroupId,
+        n_rows: usize,
+        fill: impl FnOnce(&mut RowGroupBuilder) -> Result<()>,
+    ) -> Result<CompressedRowGroup> {
+        let (mut b, dicts) = {
+            let inner = self.inner.read();
+            let sort = inner.config.sort_mode.clone();
+            let b = RowGroupBuilder::new(self.schema.clone(), sort).with_max_rows(n_rows.max(1));
+            (b, inner.cs.global_dicts().to_vec())
+        };
+        fill(&mut b)?;
+        b.finish(id, &dicts)
+    }
+
     /// Bulk-insert rows. Batches at/above the threshold compress directly;
     /// a trailing remainder below it goes through the delta store. The
-    /// whole call is one commit obligation: each compressed chunk and the
-    /// delta remainder are logged as `InsertBatch` frames and group-commit
-    /// once at the end.
+    /// chunks compress with no lock held, so a large load blocks neither
+    /// readers nor writers; then the groups and the remainder are one
+    /// write set, logged as `InsertBatch` frames (plus a `RowGroupSealed`
+    /// per group) and committed or undone as a whole.
     pub fn bulk_insert(&self, rows: &[Row]) -> Result<BulkLoadReport> {
         for row in rows {
             self.schema.check_row(row)?;
         }
-        // Split the load, then compress the bulk chunks *outside* the
-        // write lock (mover-style: snapshot the sort mode and global
-        // dictionaries, build, install later) so a large load does not
-        // block readers and concurrent writers for the duration of the
-        // compression.
-        let (threshold, max_rows, sort, dicts) = {
-            let inner = self.inner.read();
-            (
-                inner.config.bulk_load_threshold,
-                inner.config.max_rowgroup_rows,
-                inner.config.sort_mode.clone(),
-                inner.cs.global_dicts().to_vec(),
-            )
-        };
+        let config = self.inner.read().config.clone();
         let mut chunks: Vec<&[Row]> = Vec::new();
         let mut remaining = rows;
-        while remaining.len() >= threshold {
-            let take = remaining.len().min(max_rows);
+        while remaining.len() >= config.bulk_load_threshold {
+            let take = remaining.len().min(config.max_rowgroup_rows);
             let (chunk, rest) = remaining.split_at(take);
             chunks.push(chunk);
             remaining = rest;
         }
         // Group ids must come from the store's allocator (briefly under
-        // the write lock); building happens unlocked.
+        // the write lock).
         let ids: Vec<RowGroupId> = {
             let mut inner = self.inner.write();
             chunks.iter().map(|_| inner.cs.alloc_group_id()).collect()
         };
-        let mut built = Vec::with_capacity(chunks.len());
-        for (chunk, id) in chunks.iter().zip(&ids) {
-            let mut b =
-                RowGroupBuilder::new(self.schema.clone(), sort.clone()).with_max_rows(chunk.len());
-            for row in *chunk {
-                b.push_row(row)?;
-            }
-            built.push(b.finish(*id, &dicts)?);
+        let mut ops = Vec::with_capacity(chunks.len() + 1);
+        for (chunk, id) in chunks.into_iter().zip(&ids) {
+            let fill = |b: &mut RowGroupBuilder| chunk.iter().try_for_each(|row| b.push_row(row));
+            ops.push(Op::Load(
+                chunk,
+                Some(self.build_group(*id, chunk.len(), fill)?),
+            ));
         }
-        let mut report = BulkLoadReport::default();
-        let mut pending = None;
-        {
-            let mut inner = self.inner.write();
-            let inner = &mut *inner;
-            // Log the whole load before installing anything: batch frames
-            // for every chunk (replay re-inserts the rows as delta rows;
-            // the mover re-seals) plus a sealed marker, then the delta
-            // remainder. A refused append fails the load with nothing
-            // visible — neither an unlogged row group nor unlogged delta
-            // rows — and nothing below the logging can refuse a
-            // schema-checked row, so the logged and applied states agree.
-            if let Some(table) = inner.wal.as_ref().map(|h| h.table.clone()) {
-                for (chunk, rg) in chunks.iter().zip(&built) {
-                    for wal_chunk in chunk.chunks(WAL_BATCH_ROWS) {
-                        // The sealed marker below refreshes `pending`
-                        // (commit of the highest LSN covers these); the
-                        // `?` still propagates a refused append.
-                        inner.wal_log(&WalRecord::InsertBatch {
-                            table: table.clone(),
-                            rows: wal_chunk.to_vec(),
-                        })?;
-                    }
-                    pending = inner.wal_log(&WalRecord::RowGroupSealed {
-                        table: table.clone(),
-                        group: rg.id().0,
-                        rows: chunk.len() as u64,
-                    })?;
-                }
-                for wal_chunk in remaining.chunks(WAL_BATCH_ROWS) {
-                    pending = inner.wal_log(&WalRecord::InsertBatch {
-                        table: table.clone(),
-                        rows: wal_chunk.to_vec(),
-                    })?;
-                }
-            }
-            for rg in built {
-                report.compressed_groups.push(rg.id());
-                inner.cs.add_rowgroup(rg);
-            }
-            for row in remaining {
-                inner.insert_row(row.clone())?;
-            }
-            report.delta_rows = remaining.len();
-            inner.sync_delta_charge();
-        }
-        wal_commit(pending)?;
-        Ok(report)
+        ops.push(Op::Load(remaining, None));
+        self.commit(ops)?;
+        Ok(BulkLoadReport {
+            compressed_groups: ids,
+            delta_rows: remaining.len(),
+        })
     }
 
     /// Delete the row at `rid`. Returns `true` if a live row was deleted,
@@ -691,7 +748,7 @@ impl ColumnStoreTable {
             return Ok(false);
         };
         Ok(self
-            .autocommit(vec![TxnApplyOp::Delete(rid, row)])?
+            .commit(vec![Op::Row(TxnApplyOp::Delete(rid, row))])?
             .is_some())
     }
 
@@ -716,20 +773,17 @@ impl ColumnStoreTable {
     /// data, so chaos tests can fail whole passes deterministically.
     pub fn tuple_move_pass(&self) -> Result<MovePassReport> {
         let _span = cstore_common::trace::global().span("mover.pass");
-        let faults = {
+        let (faults, governor) = {
             let inner = self.inner.read();
-            inner.faults.clone()
+            (inner.faults.clone(), inner.governor.clone())
         };
-        if let Some(f) = faults {
-            if let Some(kind) = f.hit("mover.pass") {
-                return Err(kind.to_error("mover.pass"));
-            }
+        if let Some(kind) = faults.and_then(|f| f.hit("mover.pass")) {
+            return Err(kind.to_error("mover.pass"));
         }
-        // Snapshot the closed stores' contents under a read lock, compress
-        // without holding any lock, then install under the write lock.
-        // Deletes can hit a closed store while it compresses; a store whose
-        // row count changed in between is left in place and retried on the
-        // next pass, so no delete is ever lost.
+        // Snapshot the closed stores' contents under a read lock and
+        // compress them with no lock held. Deletes can hit a closed store
+        // while it compresses; its install then misses and the store is
+        // retried on the next pass, so no delete is ever lost.
         let work: Vec<(RowGroupId, usize, Vec<Vec<Value>>)> = {
             let inner = self.inner.read();
             inner
@@ -741,56 +795,24 @@ impl ColumnStoreTable {
         if work.is_empty() {
             return Ok(MovePassReport::default());
         }
-        let (sort, dicts) = {
-            let inner = self.inner.read();
-            (
-                inner.config.sort_mode.clone(),
-                inner.cs.global_dicts().to_vec(),
-            )
-        };
-        let mut built = Vec::with_capacity(work.len());
+        let mut ops = Vec::with_capacity(work.len());
         for (id, len, cols) in work {
             let _span = cstore_common::trace::global().span("compress_rowgroup");
-            let mut b =
-                RowGroupBuilder::new(self.schema.clone(), sort.clone()).with_max_rows(len.max(1));
-            b.push_columns(cols)?;
-            built.push((id, len, b.finish(id, &dicts)?));
+            let group = self.build_group(id, len, |b| b.push_columns(cols))?;
+            ops.push(Op::Install(Some(group), Old::Store(id, len)));
+        }
+        let applied = self.commit(ops);
+        // Wake parked inserters *after* the write lock is released, so a
+        // woken thread's re-check sees the shrunken closed-delta count;
+        // also after a failed commit, whose installs stay.
+        if let Some(gov) = governor {
+            gov.backpressure().notify_progress();
         }
         let mut moved = MovePassReport::default();
-        let mut pending = None;
-        let governor = {
-            let mut inner = self.inner.write();
-            let inner = &mut *inner;
-            for (id, len, rg) in built {
-                // Install only if the store is still present and unchanged
-                // (it cannot grow — closed stores take no inserts).
-                if let Some(pos) = inner
-                    .closed
-                    .iter()
-                    .position(|d| d.id() == id && d.len() == len)
-                {
-                    inner.closed.remove(pos);
-                    inner.cs.add_rowgroup(rg);
-                    moved.stores += 1;
-                    moved.rows += len;
-                    if let Some(table) = inner.wal.as_ref().map(|h| h.table.clone()) {
-                        pending = inner.wal_log(&WalRecord::RowGroupSealed {
-                            table,
-                            group: id.0,
-                            rows: len as u64,
-                        })?;
-                    }
-                }
-            }
-            inner.sync_delta_charge();
-            inner.governor.clone()
-        };
-        wal_commit(pending)?;
-        // Wake parked inserters *after* the write lock is released, so a
-        // woken thread's re-check sees the shrunken closed-delta count.
-        if moved.stores > 0 {
-            if let Some(gov) = governor {
-                gov.backpressure().notify_progress();
+        for (_, old) in applied?.map(|a| a.replaced).unwrap_or_default() {
+            if let Old::Store(_, len) = old {
+                moved.stores += 1;
+                moved.rows += len;
             }
         }
         Ok(moved)
@@ -809,32 +831,44 @@ impl ColumnStoreTable {
     }
 
     /// Rebuild one compressed row group, dropping deleted rows and
-    /// re-encoding (REORGANIZE of a group with many deletes).
+    /// re-encoding (REORGANIZE of a group with many deletes). A delete
+    /// that lands on the group while it is rebuilt makes the install a
+    /// miss: the group stays as it is, for the next REORGANIZE.
     pub fn rebuild_group(&self, id: RowGroupId) -> Result<()> {
-        let mut inner = self.inner.write();
-        let inner = &mut *inner;
-        let Some(g) = inner.cs.group_by_id(id) else {
-            return Err(Error::Storage(format!("no row group {id}")));
+        self.install(self.build_rebuild(id)?).map(drop)
+    }
+
+    /// The build step of [`ColumnStoreTable::rebuild_group`]: read the
+    /// group's live rows and re-encode them as a new group with no lock
+    /// held.
+    pub(crate) fn build_rebuild(&self, id: RowGroupId) -> Result<Op<'static>> {
+        let (g, marks) = {
+            let inner = self.inner.read();
+            let marks = inner.deleted.group_bitmap(id).cloned();
+            (inner.cs.group_by_id(id).cloned(), marks.unwrap_or_default())
         };
-        let n = g.n_rows();
-        let mut surviving: Vec<Row> = Vec::with_capacity(n);
-        for t in 0..n {
-            let rid = RowId::new(id, t as u32);
-            if !inner.deleted.is_deleted(rid) {
-                surviving.push(Row::new(g.row_values(t)?));
-            }
+        let g = g.ok_or_else(|| no_group(id))?;
+        let mut surviving = Vec::with_capacity(g.n_rows());
+        for t in (0..g.n_rows()).filter(|&t| t >= marks.len() || !marks.get(t)) {
+            surviving.push(Row::new(g.row_values(t)?));
         }
-        inner.cs.remove_group(id);
-        inner.deleted.clear_group(id);
-        if !surviving.is_empty() {
-            let mut b = RowGroupBuilder::new(self.schema.clone(), inner.config.sort_mode.clone())
-                .with_max_rows(surviving.len());
-            for row in &surviving {
-                b.push_row(row)?;
-            }
-            inner.cs.finish_builder(b)?;
-        }
-        Ok(())
+        let group = if surviving.is_empty() {
+            None
+        } else {
+            let new_id = self.inner.write().cs.alloc_group_id();
+            let fill = |b: &mut RowGroupBuilder| surviving.iter().try_for_each(|r| b.push_row(r));
+            Some(self.build_group(new_id, surviving.len(), fill)?)
+        };
+        Ok(Op::Install(group, Old::Group(id, marks.count_ones())))
+    }
+
+    /// The install step of a rebuild or an archive: one replacement
+    /// through [`ColumnStoreTable::commit`]. `false` when what it
+    /// replaces changed since it was read.
+    pub(crate) fn install(&self, op: Op<'_>) -> Result<bool> {
+        Ok(self
+            .commit(vec![op])?
+            .is_some_and(|a| !a.replaced.is_empty()))
     }
 
     /// REORGANIZE: compress closed delta stores and rebuild compressed row
@@ -856,15 +890,21 @@ impl ColumnStoreTable {
                 .map(|g| g.id())
                 .collect()
         };
-        for id in &victims {
-            self.rebuild_group(*id)?;
+        let mut rebuilt = 0;
+        for id in victims {
+            rebuilt += usize::from(self.install(self.build_rebuild(id)?)?);
         }
-        Ok((victims.len(), moved))
+        Ok((rebuilt, moved))
     }
 
-    /// Switch a compressed row group to archival compression.
+    /// Switch a compressed row group to archival compression: compress a
+    /// copy with no lock held, then swap it in.
     pub fn archive_group(&self, id: RowGroupId) -> Result<()> {
-        self.inner.write().cs.archive_group(id)
+        let group = self.inner.read().cs.group_by_id(id).cloned();
+        let mut group = group.ok_or_else(|| no_group(id))?;
+        group.archive()?;
+        self.install(Op::Install(Some(group), Old::Hot(id)))
+            .map(drop)
     }
 
     /// Archive every compressed row group (`ALTER ... COLUMNSTORE_ARCHIVE`).
@@ -895,8 +935,9 @@ impl ColumnStoreTable {
         // table does not pin retirement) because every frame at or below
         // it falls in one of two classes. Plain frames and autocommit
         // brackets are logged inside the write-lock critical section that
-        // applies them (`apply_write_set` logs its `frames` under the
-        // lock), so under this read lock each one is already applied.
+        // applies them (`apply_logged` logs its `frames` under the lock,
+        // for bulk loads and mover installs too), so under this read lock
+        // each one is already applied.
         // `TxnOp` frames of an explicit transaction are not — they are
         // logged at statement time and applied at COMMIT — but replay
         // never gates them on their own LSNs: it applies a transaction
@@ -1049,7 +1090,7 @@ impl ColumnStoreTable {
         self.check_rows(&ops)?;
         let mut inner = self.inner.write();
         let inner = &mut *inner;
-        inner.apply_ops(ops, &mut AppliedWrites::default())?;
+        inner.apply_ops(ops.map(Op::Row), &mut AppliedWrites::default())?;
         for rid in deletes {
             if inner.cs.group_by_id(rid.group).is_some() {
                 inner.deleted.delete(rid);
@@ -1075,7 +1116,8 @@ impl ColumnStoreTable {
         if lsn <= inner.last_lsn {
             return Ok(None);
         }
-        let misses = inner.apply_ops(ops, &mut AppliedWrites::default())?;
+        let misses =
+            inner.apply_ops(ops.into_iter().map(Op::Row), &mut AppliedWrites::default())?;
         inner.last_lsn = lsn;
         inner.sync_delta_charge();
         Ok(Some(misses))
@@ -1106,7 +1148,7 @@ impl ColumnStoreTable {
         frames: &[WalRecord],
     ) -> Result<Option<AppliedWrites>> {
         self.check_rows(ops)?;
-        let ops = ops.to_vec();
+        let ops = ops.iter().cloned().map(Op::Row).collect();
         self.inner.write().apply_logged(ops, frames)
     }
 
@@ -1219,6 +1261,7 @@ impl ColumnStoreTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::Wal;
     use cstore_common::{DataType, Field};
 
     fn schema() -> Schema {
@@ -1351,10 +1394,11 @@ mod tests {
         (t, wal, faults, store)
     }
 
-    /// Satellite-1 regression: with the WAL wedged, `bulk_insert` must
-    /// propagate the append error AND must not leave an unlogged row
-    /// group sealed — the old per-row path installed the group first and
-    /// only then noticed the refusal.
+    /// With the WAL wedged, `bulk_insert` must propagate the append error
+    /// and leave no unlogged row group sealed: the refused append undoes
+    /// the whole write set inside its critical section. (A commit that
+    /// fails after the append is covered by
+    /// `failed_commit_flush_undoes_direct_writes`.)
     #[test]
     fn bulk_insert_propagates_wal_errors_without_sealing() {
         use cstore_common::fault::{FaultKind, FaultSpec};
@@ -1405,6 +1449,15 @@ mod tests {
         fail_next_flush();
         assert!(t.delete(kept).is_err());
         assert_eq!(t.total_rows(), 1, "a delete is undone");
+        assert_eq!(t.sum_i64(0).unwrap(), 1);
+        recover();
+        fail_next_flush();
+        // ≥ threshold (500): one compressed group plus a delta remainder.
+        let bulk: Vec<Row> = (100..1150).map(row).collect();
+        assert!(t.bulk_insert(&bulk).is_err());
+        let s = t.stats();
+        assert_eq!(t.total_rows(), 1, "a bulk load is undone");
+        assert_eq!(s.n_compressed_groups, 0, "its groups are taken out");
         assert_eq!(t.sum_i64(0).unwrap(), 1);
     }
 
@@ -1569,6 +1622,33 @@ mod tests {
         assert_eq!(t.total_rows(), 500);
     }
 
+    /// A delete that lands on a group while it is rebuilt (no lock is
+    /// held between the build and the install) makes the install miss:
+    /// the old group and the delete both stand, and the next rebuild
+    /// succeeds.
+    #[test]
+    fn rebuild_misses_a_racing_delete_and_loses_nothing() {
+        let t = ColumnStoreTable::new(schema(), small_config());
+        t.bulk_insert(&(0..1000).map(row).collect::<Vec<_>>())
+            .unwrap();
+        let g = RowGroupId(0);
+        for tuple in 0..10 {
+            t.delete(RowId::new(g, tuple)).unwrap();
+        }
+        let built = t.build_rebuild(g).unwrap();
+        assert!(t.delete(RowId::new(g, 500)).unwrap());
+        assert!(!t.install(built).unwrap(), "the delete changed the group");
+        let s = t.stats();
+        assert_eq!((s.n_compressed_groups, s.deleted_rows), (1, 11));
+        assert_eq!(t.get_row(RowId::new(g, 500)).unwrap(), None);
+        assert!(t.install(t.build_rebuild(g).unwrap()).unwrap());
+        let s = t.stats();
+        assert_eq!((s.compressed_rows, s.deleted_rows), (989, 0));
+        assert!(t.get_row(RowId::new(g, 11)).is_err(), "group 0 is gone");
+        let dead = (0..10).sum::<i64>() + 500;
+        assert_eq!(t.sum_i64(0).unwrap(), (0..1000).sum::<i64>() - dead);
+    }
+
     #[test]
     fn reorganize_rebuilds_heavily_deleted_groups() {
         let t = ColumnStoreTable::new(schema(), small_config());
@@ -1604,15 +1684,18 @@ mod tests {
         let t = ColumnStoreTable::new(schema(), small_config());
         t.bulk_insert(&(0..2000).map(row).collect::<Vec<_>>())
             .unwrap();
+        assert!(t.delete(RowId::new(RowGroupId(1), 7)).unwrap());
         let before: i64 = t.sum_i64(0).unwrap();
         t.archive_all().unwrap();
-        assert_eq!(t.sum_i64(0).unwrap(), before);
+        assert_eq!(t.sum_i64(0).unwrap(), before, "delete marks carry over");
+        assert_eq!(t.stats().deleted_rows, 1);
     }
 
     #[test]
     fn governor_ledger_tracks_delta_bytes() {
+        use cstore_common::fault::{FaultKind, FaultSpec};
         use cstore_common::governor::Governor;
-        let t = ColumnStoreTable::new(schema(), small_config());
+        let (t, _wal, faults, _) = wal_fixture(25);
         let gov = Arc::new(Governor::new());
         for i in 0..50 {
             t.insert(row(i)).unwrap();
@@ -1633,8 +1716,22 @@ mod tests {
         assert!(gov.ledger().reserved() > 0);
         t.delete(rid).unwrap();
         assert_eq!(gov.ledger().reserved(), 0);
+        // A pass whose sealed markers are refused installs nothing, and
+        // the ledger still charges exactly the stores that remain.
+        for i in 200..400 {
+            t.insert(row(i)).unwrap();
+        }
+        t.close_open_delta();
+        let before = t.stats();
+        assert!(before.n_closed_deltas >= 2);
+        faults.arm("wal.append", FaultSpec::new(FaultKind::IoError).always());
+        assert!(t.insert(row(0)).is_err(), "the failed flush wedges the WAL");
+        assert!(t.tuple_move_pass().is_err());
+        let s = t.stats();
+        assert_eq!(s.n_closed_deltas, before.n_closed_deltas);
+        assert_eq!(s.n_compressed_groups, before.n_compressed_groups);
+        assert_eq!(gov.ledger().reserved() as usize, s.delta_bytes);
         // Dropping the table returns whatever is still charged.
-        t.insert(row(100)).unwrap();
         assert!(gov.ledger().reserved() > 0);
         drop(t);
         assert_eq!(gov.ledger().reserved(), 0);

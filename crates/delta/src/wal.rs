@@ -41,8 +41,12 @@
 //! payload = [lsn: u64][record_type: u8][record body]
 //! ```
 //!
-//! Record types: `1` Insert, `2` Delete, `3` RowGroupSealed (informational
-//! marker from the tuple mover), `4` Checkpoint (generation + per-table
+//! Record types: `1` Insert, `2` Delete, `3` RowGroupSealed (an
+//! informational marker, ignored by replay: a bulk load writes one after
+//! each compressed group's `InsertBatch` frames, a tuple-mover install
+//! one per moved delta store, and [`Wal::try_clear_failure`] one as its
+//! probe; group rebuilds and archiving change no row and log nothing),
+//! `4` Checkpoint (generation + per-table
 //! LSN watermarks; written after a successful save, drives segment
 //! retirement), `5` InsertBatch (one frame covering every row of a
 //! multi-row statement or bulk-load chunk, so ingest pays one commit
@@ -959,12 +963,8 @@ impl Wal {
     /// [`Wal::commit`] (after releasing any table lock) to make it
     /// durable. Safe to call while holding a table's write lock.
     pub fn log(&self, record: &WalRecord) -> Result<u64> {
-        let frame = encode_frame(0, record)?; // placeholder lsn
-        let mut st = self.core.wal_state.lock();
-        if let Some(e) = &st.failed {
-            return Err(Error::Storage(format!("WAL is failed: {e}")));
-        }
-        Ok(st.buffer_frame(frame))
+        let lsn = self.log_all(std::slice::from_ref(record))?;
+        Ok(lsn.unwrap_or_default())
     }
 
     /// [`Wal::log`] for several records under **one** `wal_state`
@@ -1073,7 +1073,8 @@ impl Wal {
         }
     }
 
-    /// Convenience: `log` + `commit` in one call.
+    /// Convenience for tests: `log` + `commit` in one call.
+    #[cfg(test)]
     pub fn log_and_commit(&self, record: &WalRecord) -> Result<u64> {
         let lsn = self.log(record)?;
         self.commit(lsn)?;
@@ -2145,5 +2146,59 @@ mod tests {
         let after = wal.status();
         assert!(after.segment_count < before.segment_count);
         assert_eq!(after.last_checkpoint.map(|(g, _)| g), Some(1));
+    }
+
+    /// A bulk load (two groups and a delta remainder) and a two-store
+    /// mover pass log exactly these frames, in this order: the record
+    /// kinds and counts existing logs hold for them, so every log replays
+    /// the same way.
+    #[test]
+    fn bulk_load_and_mover_pass_log_the_same_frames() {
+        use crate::table::TableConfig;
+        use cstore_common::{DataType, Field, Schema, Value};
+        let store = MemLogStore::new();
+        let (wal, _) =
+            Wal::open(Box::new(store.clone()), WalOptions::default(), None, &[]).unwrap();
+        let config = TableConfig {
+            delta_capacity: 100,
+            bulk_load_threshold: 500,
+            max_rowgroup_rows: 1000,
+            sort_mode: cstore_storage::SortMode::None,
+        };
+        let schema = Schema::new(vec![Field::not_null("k", DataType::Int64)]);
+        let t = ColumnStoreTable::new(schema, config);
+        t.set_wal(WalHandle {
+            wal: Arc::clone(&wal),
+            table: "t".into(),
+        });
+        let rows: Vec<Row> = (0..2200).map(|k| Row::new(vec![Value::Int64(k)])).collect();
+        assert_eq!(t.bulk_insert(&rows).unwrap().compressed_groups.len(), 2);
+        t.close_open_delta();
+        assert_eq!(t.tuple_move_once().unwrap(), 2);
+        let mut frames = Vec::new();
+        let image = store.crash_image();
+        for seg in image.segment_ids().unwrap() {
+            decode_frames(&image.read(seg).unwrap(), |_, r| {
+                frames.push(match r {
+                    WalRecord::InsertBatch { rows, .. } => format!("InsertBatch {}", rows.len()),
+                    WalRecord::RowGroupSealed { group, rows, .. } => {
+                        format!("RowGroupSealed {group} {rows}")
+                    }
+                    other => format!("{other:?}"),
+                });
+                Ok(())
+            })
+            .unwrap();
+        }
+        let expected = [
+            "InsertBatch 1000",
+            "RowGroupSealed 0 1000",
+            "InsertBatch 1000",
+            "RowGroupSealed 1 1000",
+            "InsertBatch 200",
+            "RowGroupSealed 2 100",
+            "RowGroupSealed 3 100",
+        ];
+        assert_eq!(frames, expected);
     }
 }
